@@ -10,25 +10,32 @@
 //  2. Cache amortization — how many histogram passes the one-time
 //     bin-code encode costs, i.e. after how many scan passes the cache
 //     has paid for itself.
-//  3. Sibling subtraction — end-to-end CMP training time with the
-//     optimization on vs off, with the byte-identical-trees check that
-//     makes the comparison meaningful.
+//  3. Gini scan speedup — the SSE2 boundary scan (what ScanBoundaryGinis
+//     runs on x86-64) vs the scalar reference, bit-equality checked
+//     before the time is reported.
+//
+// A whole CMP build with and without the code cache must also produce
+// byte-identical trees ("deterministic"). The histogram kernels have no
+// vector tiers: the SSE2/AVX2 ones measured 0.75-0.94x of scalar on
+// contiguous batches, because accumulation is bound by memory traffic
+// (DESIGN.md §4h).
 //
 // Results go to stdout and BENCH_hist.json (or argv[1]). CMP_BENCH_SCALE
 // scales the record count (default 0.1 => 100k rows). Exits nonzero on
-// any count or tree mismatch.
+// any count, bit or tree mismatch.
 
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "cmp/bundle.h"
 #include "cmp/cmp.h"
-#include "common/cpu_features.h"
 #include "common/timer.h"
 #include "datagen/agrawal.h"
 #include "gini/gini.h"
@@ -112,83 +119,11 @@ int main(int argc, char** argv) {
   const bool counts_match = SameCells(batched, serial, train.num_attrs());
   const double speedup = record_major_s / kernel_s;
 
-  // --- scalar vs SIMD tiers of the same kernels ----------------------
-  // Two batch shapes, because they stress different code paths:
-  //  * contiguous — the root pass; every tier does sequential widening
-  //    loads and the scattered increment dominates, so this is the
-  //    tiers' FLOOR (expect parity, not speedup);
-  //  * gapped — ascending rids with holes, the shape every post-root
-  //    node sees; the SIMD tiers' vector gathers and index math replace
-  //    a serial dependent-load chain, and this is where they earn their
-  //    keep.
-  // The cells are re-verified against the record-major reference per
-  // tier, so a speedup number can never come from a kernel that
-  // drifted.
-  std::vector<cmp::RecordId> gapped;
-  gapped.reserve(n / 2);
-  {
-    uint64_t state = 0x243F6A8885A308D3ULL;  // fixed: same rids each run
-    for (int64_t r = 0; r < n; ++r) {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      if ((state & 1) != 0) gapped.push_back(r);
-    }
-  }
-  cmp::HistBundle gapped_serial =
-      cmp::HistBundle::MakeUnivariate(train.schema(), grids);
-  for (const cmp::RecordId r : gapped) gapped_serial.Add(train, grids, r);
-
-  struct TierRow {
-    const char* name;
-    double contiguous_s = 1e30;
-    double gapped_s = 1e30;
-    bool match = false;
-  };
-  std::vector<TierRow> tiers;
-  const cmp::KernelIsa restore = cmp::ActiveKernelIsa();
-  for (const cmp::KernelIsa isa :
-       {cmp::KernelIsa::kScalar, cmp::KernelIsa::kSse2,
-        cmp::KernelIsa::kAvx2}) {
-    if (!cmp::SetKernelIsa(isa)) continue;
-    TierRow row;
-    row.name = cmp::KernelIsaName(isa);
-    cmp::HistBundle tier_bundle;
-    for (int pass = 0; pass < 5; ++pass) {
-      tier_bundle = cmp::HistBundle::MakeUnivariate(train.schema(), grids);
-      cmp::Timer t;
-      for (int64_t i = 0; i < n; i += kBatch) {
-        const size_t count =
-            static_cast<size_t>(std::min<int64_t>(kBatch, n - i));
-        tier_bundle.AccumulateBatch(codes, rids.data() + i, count,
-                                    &scratch);
-      }
-      row.contiguous_s = std::min(row.contiguous_s, t.Seconds());
-    }
-    const bool contiguous_ok =
-        SameCells(tier_bundle, serial, train.num_attrs());
-    const int64_t gn = static_cast<int64_t>(gapped.size());
-    for (int pass = 0; pass < 5; ++pass) {
-      tier_bundle = cmp::HistBundle::MakeUnivariate(train.schema(), grids);
-      cmp::Timer t;
-      for (int64_t i = 0; i < gn; i += kBatch) {
-        const size_t count =
-            static_cast<size_t>(std::min<int64_t>(kBatch, gn - i));
-        tier_bundle.AccumulateBatch(codes, gapped.data() + i, count,
-                                    &scratch);
-      }
-      row.gapped_s = std::min(row.gapped_s, t.Seconds());
-    }
-    row.match = contiguous_ok &&
-                SameCells(tier_bundle, gapped_serial, train.num_attrs());
-    tiers.push_back(row);
-  }
-  // --- the gini boundary scan, scalar vs vector tiers ----------------
-  // The division-heavy half of the SIMD work: 5 divides per boundary,
-  // where 4-wide vdivpd genuinely multiplies throughput (the histogram
-  // kernels above are integer-increment-bound, so their tiers converge
-  // on the memory system instead). Bit-equality with the scalar scan is
-  // re-checked on every tier before its time is reported.
+  // --- the gini boundary scan, scalar vs SSE2 -----------------------
+  // The division-heavy half of the work: 5 divides per boundary, where
+  // 2-wide divpd genuinely multiplies throughput (the histogram kernels
+  // above are integer-increment-bound instead). Bit-equality with the
+  // scalar scan is checked before the SSE2 time is reported.
   const int gini_nb = 99;
   const int gini_nc = 2;
   const int gini_nodes = 2000;  // distinct prefix matrices, scanned in turn
@@ -215,6 +150,13 @@ int main(int argc, char** argv) {
       }
     }
   }
+  using ScanFn = void (*)(const int64_t*, int, int, const int64_t*,
+                          double*);
+  std::vector<std::pair<const char*, ScanFn>> scans = {
+      {"scalar", cmp::ScanBoundaryGinisScalar}};
+#if defined(__SSE2__)
+  scans.emplace_back("sse2", cmp::ScanBoundaryGinisSse2);
+#endif
   struct GiniRow {
     const char* name;
     double seconds = 1e30;
@@ -223,25 +165,21 @@ int main(int argc, char** argv) {
   std::vector<GiniRow> gini_tiers;
   std::vector<double> gini_ref(static_cast<size_t>(gini_nodes) * gini_nb);
   std::vector<double> gini_out(gini_ref.size());
-  for (const cmp::KernelIsa isa :
-       {cmp::KernelIsa::kScalar, cmp::KernelIsa::kSse2,
-        cmp::KernelIsa::kAvx2}) {
-    if (!cmp::SetKernelIsa(isa)) continue;
+  for (const auto& [name, scan] : scans) {
     GiniRow row;
-    row.name = cmp::KernelIsaName(isa);
+    row.name = name;
     for (int pass = 0; pass < 5; ++pass) {
       cmp::Timer t;
       for (int node = 0; node < gini_nodes; ++node) {
-        cmp::ScanBoundaryGinis(
-            gini_prefix.data() +
-                static_cast<size_t>(node) * gini_nb * gini_nc,
-            gini_nb, gini_nc,
-            gini_totals.data() + static_cast<size_t>(node) * gini_nc,
-            gini_out.data() + static_cast<size_t>(node) * gini_nb);
+        scan(gini_prefix.data() +
+                 static_cast<size_t>(node) * gini_nb * gini_nc,
+             gini_nb, gini_nc,
+             gini_totals.data() + static_cast<size_t>(node) * gini_nc,
+             gini_out.data() + static_cast<size_t>(node) * gini_nb);
       }
       row.seconds = std::min(row.seconds, t.Seconds());
     }
-    if (isa == cmp::KernelIsa::kScalar) {
+    if (gini_tiers.empty()) {
       gini_ref = gini_out;
     } else {
       row.match = gini_out == gini_ref;  // bitwise: operator== on doubles
@@ -249,50 +187,29 @@ int main(int argc, char** argv) {
     gini_tiers.push_back(row);
   }
   const double gini_scalar_s = gini_tiers.front().seconds;
-  double gini_best_simd_s = gini_scalar_s;
-  for (const GiniRow& row : gini_tiers) {
-    gini_best_simd_s = std::min(gini_best_simd_s, row.seconds);
-  }
-  const double gini_simd_speedup = gini_scalar_s / gini_best_simd_s;
+  const double gini_simd_speedup = gini_scalar_s / gini_tiers.back().seconds;
   const bool gini_match =
       std::all_of(gini_tiers.begin(), gini_tiers.end(),
                   [](const GiniRow& r) { return r.match; });
 
-  cmp::SetKernelIsa(restore);
-  const double scalar_gapped_s = tiers.front().gapped_s;
-  double best_simd_gapped_s = scalar_gapped_s;
-  for (const TierRow& row : tiers) {
-    best_simd_gapped_s = std::min(best_simd_gapped_s, row.gapped_s);
-  }
-  const double simd_speedup = scalar_gapped_s / best_simd_gapped_s;
-  const bool tiers_match = std::all_of(
-      tiers.begin(), tiers.end(), [](const TierRow& r) { return r.match; });
   // Passes until the encode cost is recovered by the per-pass saving.
   const double amortize_passes =
       record_major_s > kernel_s
           ? encode_seconds / (record_major_s - kernel_s)
           : -1.0;
 
-  // --- whole-build effect of sibling subtraction ---------------------
-  double train_with_s = 1e30;
-  double train_without_s = 1e30;
-  std::string tree_with;
-  std::string tree_without;
-  for (const bool subtract : {true, false}) {
+  // --- whole builds: the batch kernels vs the record-major scan -----
+  std::string tree_codes;
+  std::string tree_no_codes;
+  for (const bool use_codes : {true, false}) {
     cmp::CmpOptions o = cmp::CmpFullOptions();
     o.base.prune = false;
-    o.sibling_subtraction = subtract;
-    double& best = subtract ? train_with_s : train_without_s;
-    std::string& bytes = subtract ? tree_with : tree_without;
-    for (int pass = 0; pass < 2; ++pass) {
-      cmp::CmpBuilder builder(o);
-      cmp::Timer t;
-      const cmp::BuildResult result = builder.Build(train);
-      best = std::min(best, t.Seconds());
-      bytes = cmp::SerializeTree(result.tree);
-    }
+    o.bin_code_cache = use_codes;
+    (use_codes ? tree_codes : tree_no_codes) =
+        cmp::SerializeTree(cmp::CmpBuilder(o).Build(train).tree);
   }
-  const bool trees_match = tree_with == tree_without;
+  const bool trees_match = tree_codes == tree_no_codes;
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
 
   std::cout << "histogram accumulation over " << n << " records, "
             << train.num_attrs() << " attrs, q=100\n\n"
@@ -301,15 +218,6 @@ int main(int argc, char** argv) {
             << speedup << "x)\n"
             << "counts cell-identical: " << (counts_match ? "yes" : "NO")
             << "\n\n";
-  for (const TierRow& row : tiers) {
-    std::cout << "kernel tier " << row.name << ": contiguous "
-              << n / row.contiguous_s << " rows/s, gapped "
-              << gapped.size() / row.gapped_s << " rows/s ("
-              << scalar_gapped_s / row.gapped_s << "x scalar, cells "
-              << (row.match ? "ok" : "MISMATCH") << ")\n";
-  }
-  std::cout << "best SIMD tier vs scalar (gapped): " << simd_speedup
-            << "x\n\n";
   const double gini_boundaries =
       static_cast<double>(gini_nodes) * gini_nb;
   for (const GiniRow& row : gini_tiers) {
@@ -318,48 +226,37 @@ int main(int argc, char** argv) {
               << gini_scalar_s / row.seconds << "x scalar, bits "
               << (row.match ? "ok" : "MISMATCH") << ")\n";
   }
-  std::cout << "best SIMD gini scan vs scalar: " << gini_simd_speedup
+  std::cout << "SSE2 gini scan vs scalar: " << gini_simd_speedup
             << "x\n\n"
             << "bin-code encode: " << encode_seconds << " s, "
             << codes.MemoryBytes() << " bytes resident\n"
             << "encode amortized after " << amortize_passes
             << " scan passes\n\n"
-            << "CMP train, subtraction on:  " << train_with_s << " s\n"
-            << "CMP train, subtraction off: " << train_without_s << " s  ("
-            << train_without_s / train_with_s << "x)\n"
-            << "trees byte-identical: "
+            << "CMP trees with and without the code cache byte-identical: "
             << (trees_match ? "yes" : "NO — DETERMINISM VIOLATION") << "\n";
 
   std::ofstream json(json_path);
   json << "{\n"
        << "  \"bench\": \"hist\",\n"
        << "  \"rows\": " << n << ",\n"
+       << "  \"hardware_threads\": " << hardware_threads << ",\n"
        << "  \"record_major_rows_per_sec\": " << n / record_major_s << ",\n"
        << "  \"kernel_rows_per_sec\": " << n / kernel_s << ",\n"
        << "  \"kernel_speedup\": " << speedup << ",\n"
        << "  \"counts_match\": " << (counts_match ? "true" : "false")
        << ",\n";
-  for (const TierRow& row : tiers) {
-    json << "  \"" << row.name << "_rows_per_sec\": "
-         << n / row.contiguous_s << ",\n"
-         << "  \"" << row.name << "_gapped_rows_per_sec\": "
-         << gapped.size() / row.gapped_s << ",\n";
-  }
-  json << "  \"simd_speedup\": " << simd_speedup << ",\n";
   for (const GiniRow& row : gini_tiers) {
     json << "  \"gini_scan_" << row.name << "_boundaries_per_sec\": "
          << gini_boundaries / row.seconds << ",\n";
   }
   json << "  \"gini_simd_speedup\": " << gini_simd_speedup << ",\n"
+       << "  \"gini_bits_match\": " << (gini_match ? "true" : "false")
+       << ",\n"
        << "  \"code_cache_bytes\": " << codes.MemoryBytes() << ",\n"
        << "  \"encode_seconds\": " << encode_seconds << ",\n"
        << "  \"encode_amortize_passes\": " << amortize_passes << ",\n"
-       << "  \"train_subtract_seconds\": " << train_with_s << ",\n"
-       << "  \"train_no_subtract_seconds\": " << train_without_s << ",\n"
-       << "  \"subtract_speedup\": " << train_without_s / train_with_s
-       << ",\n"
        << "  \"deterministic\": " << (trees_match ? "true" : "false")
        << "\n}\n";
   std::cout << "wrote " << json_path << "\n";
-  return counts_match && trees_match && tiers_match && gini_match ? 0 : 1;
+  return counts_match && trees_match && gini_match ? 0 : 1;
 }

@@ -49,12 +49,6 @@ struct CmpOptions {
   /// either way. The cache also disables itself when an attribute needs
   /// more than 16 bits per code.
   bool bin_code_cache = true;
-  /// Derive the larger child of each fresh split pair as parent minus its
-  /// scanned sibling instead of accumulating it during the scan (exact
-  /// integer counts, byte-identical trees; univariate bundles always
-  /// qualify, bivariate ones only when both children keep the parent's
-  /// full X axis).
-  bool sibling_subtraction = true;
   /// Shard count for parallel scan passes. 0 = auto: the pool's
   /// parallelism, additionally capped at the hardware thread count so an
   /// oversubscribed pool on a small machine does not pay mirror-merge

@@ -104,14 +104,6 @@ class ScanPass : public PassScanner {
         codes_(codes != nullptr && codes->enabled() ? codes : nullptr),
         scan_shards_(scan_shards) {}
 
-  /// Distributed-training workers scan with this disabled: a worker's
-  /// sibling-derived bundles are empty placeholders (the coordinator
-  /// holds the parent counts and subtracts ONCE after the rank-order
-  /// merge), so subtracting locally would corrupt them.
-  void set_apply_sibling_subtraction(bool v) {
-    apply_sibling_subtraction_ = v;
-  }
-
   void RunPass(FrontierQueues& work, PassObservation* po) override {
     Run(work, po);
   }
@@ -119,10 +111,9 @@ class ScanPass : public PassScanner {
   /// Runs one full pass, filling `work`'s bundles, pending buffers and
   /// collect lists. On return the accumulated state is byte-for-byte
   /// what a serial single-block scan would have produced, for any thread
-  /// count and block size — with or without the bin-code cache, and with
-  /// or without sibling subtraction. Fills `po`'s kernel/cache/
-  /// subtraction counters when non-null. Throws on a mid-pass source
-  /// failure.
+  /// count and block size, with or without the bin-code cache. Fills
+  /// `po`'s kernel/cache counters when non-null. Throws on a mid-pass
+  /// source failure.
   void Run(FrontierQueues& work, PassObservation* po = nullptr) {
     const int64_t n = source_.num_records();
     tracker_->ChargeScan(n, schema_);
@@ -199,13 +190,7 @@ class ScanPass : public PassScanner {
               ScanShard& sh = shards[s];
               sh.fresh.reserve(work.fresh.size());
               for (size_t i = 0; i < work.fresh.size(); ++i) {
-                // Sibling-derived entries are never scanned into, so the
-                // mirror is a placeholder that merge skips below.
-                if (work.fresh[i].derive_from_sibling >= 0) {
-                  sh.fresh.emplace_back();
-                } else {
-                  sh.fresh.push_back(work.fresh[i].bundle.CloneEmptyShape());
-                }
+                sh.fresh.push_back(work.fresh[i].bundle.CloneEmptyShape());
               }
               sh.pending.reserve(work.pending.size());
               for (size_t i = 0; i < work.pending.size(); ++i) {
@@ -308,7 +293,6 @@ class ScanPass : public PassScanner {
 
     for (ScanShard& sh : shards) {
       for (size_t i = 0; i < work.fresh.size(); ++i) {
-        if (work.fresh[i].derive_from_sibling >= 0) continue;
         work.fresh[i].bundle.MergeSameShape(sh.fresh[i]);
       }
       for (size_t i = 0; i < work.pending.size(); ++i) {
@@ -321,21 +305,7 @@ class ScanPass : public PassScanner {
       }
     }
 
-    // Sibling subtraction: derived entries arrived holding their
-    // PARENT's histograms; now that the sibling's scan is complete and
-    // merged, parent minus sibling IS the derived child's exact counts.
-    int64_t subtractions = 0;
-    if (apply_sibling_subtraction_) {
-      for (size_t i = 0; i < work.fresh.size(); ++i) {
-        const int sib = work.fresh[i].derive_from_sibling;
-        if (sib < 0) continue;
-        work.fresh[i].bundle.SubtractSameShape(work.fresh[sib].bundle);
-        ++subtractions;
-      }
-    }
-
     if (po != nullptr) {
-      po->sibling_subtractions = subtractions;
       if (codes_ != nullptr) {
         po->code_cache_bytes = codes_->MemoryBytes();
         for (const BatchScratch& b : batches) {
@@ -448,7 +418,6 @@ class ScanPass : public PassScanner {
   ScanTracker* tracker_;
   const BinCodeCache* codes_;  // null when the cache is disabled
   int scan_shards_;
-  bool apply_sibling_subtraction_ = true;
 };
 
 }  // namespace cmp

@@ -26,19 +26,6 @@ uint64_t ReadXcr0() {
   return (static_cast<uint64_t>(edx) << 32) | eax;
 }
 
-bool CpuHasSse2() {
-#if defined(__x86_64__)
-  return true;  // SSE2 is architectural baseline for x86-64
-#else
-  unsigned eax = 0;
-  unsigned ebx = 0;
-  unsigned ecx = 0;
-  unsigned edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (edx & (1u << 26)) != 0;
-#endif
-}
-
 bool CpuHasAvx2() {
   unsigned eax = 0;
   unsigned ebx = 0;
@@ -61,7 +48,7 @@ bool ForceScalarEnv() {
          !(v[0] == '0' && v[1] == '\0');
 }
 
-// The active tier, shared by every dispatching kernel. -1 = not yet
+// The active tier of the descent dispatch. -1 = not yet
 // initialized from DetectKernelIsa().
 std::atomic<int> g_active_isa{-1};
 
@@ -71,8 +58,6 @@ const char* KernelIsaName(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar:
       return "scalar";
-    case KernelIsa::kSse2:
-      return "sse2";
     case KernelIsa::kAvx2:
       return "avx2";
   }
@@ -83,15 +68,6 @@ bool KernelIsaSupported(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar:
       return true;
-    case KernelIsa::kSse2:
-#if CMP_X86
-    {
-      static const bool supported = CpuHasSse2();
-      return supported;
-    }
-#else
-      return false;
-#endif
     case KernelIsa::kAvx2:
 #if CMP_X86
     {
@@ -109,7 +85,6 @@ KernelIsa DetectKernelIsa() {
   static const KernelIsa detected = [] {
     if (ForceScalarEnv()) return KernelIsa::kScalar;
     if (KernelIsaSupported(KernelIsa::kAvx2)) return KernelIsa::kAvx2;
-    if (KernelIsaSupported(KernelIsa::kSse2)) return KernelIsa::kSse2;
     return KernelIsa::kScalar;
   }();
   return detected;
@@ -141,10 +116,6 @@ bool ParseKernelIsa(const std::string& name, KernelIsa* out) {
     *out = KernelIsa::kScalar;
     return true;
   }
-  if (name == "sse2") {
-    *out = KernelIsa::kSse2;
-    return true;
-  }
   if (name == "avx2") {
     *out = KernelIsa::kAvx2;
     return true;
@@ -157,15 +128,14 @@ bool SelectKernelIsaByName(const std::string& name, std::string* error) {
   if (!ParseKernelIsa(name, &isa)) {
     if (error != nullptr) {
       *error = "unknown kernel tier '" + name +
-               "' (want auto|scalar|sse2|avx2)";
+               "' (want auto|scalar|avx2)";
     }
     return false;
   }
   if (!SetKernelIsa(isa)) {
     if (error != nullptr) {
       std::string have;
-      for (KernelIsa k :
-           {KernelIsa::kScalar, KernelIsa::kSse2, KernelIsa::kAvx2}) {
+      for (KernelIsa k : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
         if (!KernelIsaSupported(k)) continue;
         if (!have.empty()) have += '|';
         have += KernelIsaName(k);

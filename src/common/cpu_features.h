@@ -5,16 +5,17 @@
 
 namespace cmp {
 
-/// Instruction-set tiers the vectorized kernels are built for. The
-/// numeric order is the capability order: every tier can also run any
-/// lower tier's kernels, so "best available" is a simple max.
+/// Instruction-set tiers of the one runtime-dispatched kernel, batch
+/// tree descent (infer/infer_kernels.h). The numeric order is the
+/// capability order, so "best available" is a simple max. The other
+/// kernels need no dispatch: histogram accumulation is scalar, and the
+/// gini boundary scan uses SSE2, the x86-64 baseline, at compile time.
 enum class KernelIsa {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Display name ("scalar", "sse2", "avx2").
+/// Display name ("scalar", "avx2").
 const char* KernelIsaName(KernelIsa isa);
 
 /// True when this host (CPU + OS state + how this binary was compiled)
@@ -24,20 +25,21 @@ bool KernelIsaSupported(KernelIsa isa);
 
 /// The best supported tier, downgraded to kScalar when the
 /// CMP_FORCE_SCALAR environment variable is set to anything but "0" or
-/// empty. Detected once and cached.
+/// empty (which therefore pins only tree descent). Detected once and
+/// cached.
 KernelIsa DetectKernelIsa();
 
-/// The tier the dispatching kernels currently select. Initialized to
+/// The tier the descent dispatch currently selects. Initialized to
 /// DetectKernelIsa() on first use.
 KernelIsa ActiveKernelIsa();
 
 /// Overrides the active tier. Returns false (and changes nothing) when
 /// `isa` is not supported on this host. Intended for startup flags and
-/// tests; swapping tiers mid-build is safe for correctness (every tier
-/// produces identical cells) but makes timings meaningless.
+/// tests; swapping tiers mid-batch is safe for correctness (every tier
+/// produces identical leaves) but makes timings meaningless.
 bool SetKernelIsa(KernelIsa isa);
 
-/// Parses "auto" | "scalar" | "sse2" | "avx2". "auto" yields
+/// Parses "auto" | "scalar" | "avx2". "auto" yields
 /// DetectKernelIsa(). Returns false on any other string.
 bool ParseKernelIsa(const std::string& name, KernelIsa* out);
 

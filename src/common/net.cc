@@ -48,13 +48,21 @@ bool RecvAll(int fd, void* data, size_t size) {
 
 bool LineReader::ReadLine(std::string* out) {
   while (true) {
-    const size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
+    // Resume the search where the last one stopped: rescanning the
+    // whole buffer per recv would make a long line quadratic.
+    const size_t nl = buf_.find('\n', scanned_);
+    if (nl != std::string::npos && nl <= kMaxLineBytes) {
       out->assign(buf_, 0, nl);
       if (!out->empty() && out->back() == '\r') out->pop_back();
       buf_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
     }
+    if (nl != std::string::npos || buf_.size() > kMaxLineBytes) {
+      line_too_long_ = true;
+      return false;
+    }
+    scanned_ = buf_.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;

@@ -26,18 +26,28 @@ bool SendLine(int fd, const std::string& line);
 /// a short frame is a dead peer either way).
 bool RecvAll(int fd, void* data, size_t size);
 
+/// Longest line LineReader accepts, newline excluded. Fixed, so one
+/// client cannot make a reader buffer without bound.
+inline constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
 /// Buffered newline-framed reader over a blocking socket.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// False on EOF or error with no complete line left. Strips one
-  /// trailing '\r' so CRLF clients work.
+  /// False on EOF or error with no complete line left, and as soon as
+  /// the pending line grows past kMaxLineBytes (then line_too_long()
+  /// turns true and the reader must be abandoned). Strips one trailing
+  /// '\r' so CRLF clients work.
   bool ReadLine(std::string* out);
+
+  bool line_too_long() const { return line_too_long_; }
 
  private:
   int fd_;
   std::string buf_;
+  size_t scanned_ = 0;  // bytes of buf_ already known to hold no '\n'
+  bool line_too_long_ = false;
 };
 
 /// Binds and listens on host:port (SO_REUSEADDR; port 0 binds an

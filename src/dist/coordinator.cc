@@ -44,9 +44,7 @@ struct WorkerProc {
 /// accumulation exactly the way the in-process sharded scan's
 /// shard-order merge does — integer count adds are order-free anyway,
 /// pending buffers are (value, rid)-sorted before use, and collect rid
-/// lists are re-sorted ascending after the merge. Sibling subtraction
-/// is applied once, here, after the merge (workers ship scanned bundles
-/// only; their derived entries are empty placeholders).
+/// lists are re-sorted ascending after the merge.
 class RemoteScan : public PassScanner {
  public:
   RemoteScan(std::vector<WorkerProc>* workers, StreamStore* store,
@@ -122,7 +120,6 @@ class RemoteScan : public PassScanner {
     w.PutVar(work.fresh.size());
     for (const FreshWork& fw : work.fresh) {
       w.PutVar(static_cast<uint64_t>(fw.node));
-      w.PutVarSigned(fw.derive_from_sibling);
       wire::WriteBundleShape(&w, fw.bundle);
     }
     w.PutVar(work.pending.size());
@@ -157,7 +154,6 @@ class RemoteScan : public PassScanner {
 
       if (r.GetVar() != work.fresh.size()) Corrupt(wk);
       for (FreshWork& fw : work.fresh) {
-        if (fw.derive_from_sibling >= 0) continue;  // placeholder, not sent
         if (!wire::ReadBundleCountsInto(&r, &fw.bundle)) Corrupt(wk);
       }
       if (r.GetVar() != work.pending.size()) Corrupt(wk);
@@ -200,16 +196,8 @@ class RemoteScan : public PassScanner {
       merge_seconds += merge_timer.Seconds();
     }
 
-    // Post-merge tail, mirroring ScanPass: sibling subtraction exactly
-    // once against the fully merged sibling, then the collect lists
-    // back to ascending (serial) record order.
-    int64_t subtractions = 0;
-    for (size_t i = 0; i < work.fresh.size(); ++i) {
-      const int sib = work.fresh[i].derive_from_sibling;
-      if (sib < 0) continue;
-      work.fresh[i].bundle.SubtractSameShape(work.fresh[sib].bundle);
-      ++subtractions;
-    }
+    // Post-merge tail: the collect lists back to ascending (serial)
+    // record order.
     for (CollectWork& cw : work.collect) {
       std::sort(cw.rids.begin(), cw.rids.end());
     }
@@ -217,7 +205,6 @@ class RemoteScan : public PassScanner {
     tracker_->ChargeRealBytes(worker_bytes_read);
     tracker_->NotePeakMemory(store_->stash_bytes());
     if (po != nullptr) {
-      po->sibling_subtractions = subtractions;
       po->kernel_seconds = kernel_seconds;
       po->code_cache_bytes = code_cache_bytes;
       po->workers = static_cast<int64_t>(workers_->size());

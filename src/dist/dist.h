@@ -20,8 +20,7 @@ namespace dist {
 /// pending-buffer state, collect lists and record stash. The coordinator
 /// merges the results in worker-rank order — the same contiguous
 /// ascending-record decomposition the in-process sharded scan already
-/// uses — applies sibling subtraction once, and resolves splits exactly
-/// as a single-process build would. The resulting tree is byte-identical
+/// uses — and resolves splits exactly as a single-process build would. The resulting tree is byte-identical
 /// to the single-process tree for every worker count, thread count and
 /// block size.
 

@@ -1,7 +1,5 @@
 #include "gini/gini.h"
 
-#include "common/cpu_features.h"
-
 namespace cmp {
 
 double Gini(std::span<const int64_t> class_counts) {
@@ -50,10 +48,8 @@ double BoundaryGini(std::span<const int64_t> below,
   return SplitGini(below, above);
 }
 
-namespace {
-
-// Scalar tier: literally BoundaryGini per row, so the scan's reference
-// semantics are the function the golden fixtures were built on — not a
+// Literally BoundaryGini per row, so the scan's reference semantics are
+// the function the golden fixtures were built on — not a
 // reimplementation that could drift by an IEEE op.
 void ScanBoundaryGinisScalar(const int64_t* prefix, int num_boundaries,
                              int nc, const int64_t* totals, double* out) {
@@ -66,23 +62,14 @@ void ScanBoundaryGinisScalar(const int64_t* prefix, int num_boundaries,
   }
 }
 
-BoundaryGiniScanFn ScanFnFor(KernelIsa isa) {
-  if (isa == KernelIsa::kAvx2) {
-    if (BoundaryGiniScanFn fn = Avx2BoundaryGiniScanOrNull()) return fn;
-    isa = KernelIsa::kSse2;
-  }
-  if (isa == KernelIsa::kSse2) {
-    if (BoundaryGiniScanFn fn = Sse2BoundaryGiniScanOrNull()) return fn;
-  }
-  return ScanBoundaryGinisScalar;
-}
-
-}  // namespace
-
 void ScanBoundaryGinis(const int64_t* prefix, int num_boundaries, int nc,
                        const int64_t* totals, double* out) {
   if (num_boundaries <= 0) return;
-  ScanFnFor(ActiveKernelIsa())(prefix, num_boundaries, nc, totals, out);
+#if defined(__SSE2__)
+  ScanBoundaryGinisSse2(prefix, num_boundaries, nc, totals, out);
+#else
+  ScanBoundaryGinisScalar(prefix, num_boundaries, nc, totals, out);
+#endif
 }
 
 }  // namespace cmp

@@ -33,30 +33,28 @@ double BoundaryGini(std::span<const int64_t> below,
 /// num_boundaries x nc matrix of prefix-summed class counts (row b =
 /// per-class counts at or below cut b).
 ///
-/// Dispatches to a vectorized implementation (4 boundaries per AVX2
-/// iteration, 2 per SSE2) selected by common/cpu_features.h. Every tier
-/// is BIT-IDENTICAL to calling BoundaryGini per row: lanes map to
+/// On x86-64 this is the SSE2 scan (2 boundaries per iteration), picked
+/// at compile time: SSE2 is the architecture's baseline, so it needs no
+/// runtime dispatch. Elsewhere it is the scalar reference scan. The SSE2
+/// scan is BIT-IDENTICAL to calling BoundaryGini per row: lanes map to
 /// boundaries, the class loop stays sequential inside each lane, every
-/// IEEE op (convert, div, mul, add, sub) is elementwise in the scalar
-/// op order, and the tiers are compiled without FMA contraction — so
-/// the same doubles fall out regardless of tier, which is what keeps
-/// golden trees byte-identical under `--kernel auto`
-/// (tests/test_kernel_dispatch.cc, tests/test_gini.cc).
+/// IEEE op (convert, div, mul, add, sub) is elementwise in the scalar op
+/// order, and nothing is compiled with FMA contraction — so the same
+/// doubles fall out on every target, which is what keeps golden trees
+/// byte-identical (tests/test_gini.cc, tests/test_golden.cc).
 void ScanBoundaryGinis(const int64_t* prefix, int num_boundaries, int nc,
                        const int64_t* totals, double* out);
 
-// ---------------------------------------------------------------------
-// Internal dispatch surface of ScanBoundaryGinis, exposed so the
-// differential tests can drive one specific tier directly. The OrNull
-// accessors return null when the build lacks the ISA (non-x86 target or
-// missing compiler flag); runtime support is checked by the dispatcher.
+/// The reference scan: literally BoundaryGini per row. Exposed so the
+/// differential tests and the bench can compare the SSE2 scan with it.
+void ScanBoundaryGinisScalar(const int64_t* prefix, int num_boundaries,
+                             int nc, const int64_t* totals, double* out);
 
-using BoundaryGiniScanFn = void (*)(const int64_t* prefix,
-                                    int num_boundaries, int nc,
-                                    const int64_t* totals, double* out);
-
-BoundaryGiniScanFn Sse2BoundaryGiniScanOrNull();
-BoundaryGiniScanFn Avx2BoundaryGiniScanOrNull();
+#if defined(__SSE2__)
+/// The SSE2 scan behind ScanBoundaryGinis on x86-64 (gini_scan_sse2.cc).
+void ScanBoundaryGinisSse2(const int64_t* prefix, int num_boundaries,
+                           int nc, const int64_t* totals, double* out);
+#endif
 
 }  // namespace cmp
 

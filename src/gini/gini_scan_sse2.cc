@@ -1,9 +1,14 @@
-// SSE2 tier of the gini boundary scan (see gini.h): the AVX2 tier's
-// structure at two boundaries per iteration. SSE2 is the x86-64
-// baseline, so no special compile flags are needed; the same
-// bit-identity argument applies (sequential class loop per lane, scalar
-// op order, no FMA contraction, 0/0 NaN of one-sided boundaries masked
-// to the scalar's 0.0).
+// SSE2 gini boundary scan (see gini.h). Two boundaries per iteration,
+// one __m128d lane each; the class loop stays sequential inside the
+// lanes so every lane executes exactly the scalar BoundaryGini op
+// sequence (convert, div, mul, add, sub — elementwise, same order). SSE2
+// is the x86-64 baseline and has no FMA, so no special compile flags are
+// needed and nothing can contract mul+add and perturb the low bits.
+// Together those properties make this scan bit-identical to the scalar
+// reference, which the byte-identical-trees contract depends on.
+//
+// The 0/0 = NaN a one-sided boundary produces is masked to the scalar's
+// 0.0 (Gini of an empty set) with cmp+andnot before the weighting.
 
 #include "gini/gini.h"
 
@@ -22,9 +27,14 @@ inline __m128d Lanes2(const double* p0, int c, int nc) {
   return _mm_set_pd(p0[nc + c], p0[c]);
 }
 
-void ScanSse2(const int64_t* prefix, int num_boundaries, int nc,
-              const int64_t* totals, double* out) {
-  // Exact up-front int64 -> double conversion; see gini_scan_avx2.cc.
+}  // namespace
+
+void ScanBoundaryGinisSse2(const int64_t* prefix, int num_boundaries,
+                           int nc, const int64_t* totals, double* out) {
+  // Convert the integer counts to doubles up front: every count is far
+  // below 2^53, so the conversions — and any sums of converted counts —
+  // are exact, and the arithmetic below sees the very values the scalar
+  // path's int64 -> double casts produce.
   const size_t cells = static_cast<size_t>(num_boundaries) * nc;
   std::vector<double> dp(cells);
   for (size_t i = 0; i < cells; ++i) dp[i] = static_cast<double>(prefix[i]);
@@ -75,18 +85,6 @@ void ScanSse2(const int64_t* prefix, int num_boundaries, int nc,
         t);
   }
 }
-
-}  // namespace
-
-BoundaryGiniScanFn Sse2BoundaryGiniScanOrNull() { return ScanSse2; }
-
-}  // namespace cmp
-
-#else  // !defined(__SSE2__)
-
-namespace cmp {
-
-BoundaryGiniScanFn Sse2BoundaryGiniScanOrNull() { return nullptr; }
 
 }  // namespace cmp
 

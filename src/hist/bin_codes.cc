@@ -9,17 +9,6 @@ namespace {
 constexpr int kMaxRows8 = 256;
 constexpr int kMaxRows16 = 65536;
 
-// Column allocation sizes including the gather padding the vector
-// kernel tiers require (kCodeColumnPadding readable bytes past the last
-// record; the padding stays zero-initialized and is never addressed as
-// a record).
-size_t PaddedU8(size_t n) {
-  return n + static_cast<size_t>(kCodeColumnPadding);
-}
-size_t PaddedU16(size_t n) {
-  return n + (static_cast<size_t>(kCodeColumnPadding) + 1) / 2;
-}
-
 }  // namespace
 
 BinCodeCache::BinCodeCache(const Schema& schema, int64_t num_records,
@@ -49,13 +38,13 @@ void BinCodeCache::EncodeNumericColumn(AttrId a, const IntervalGrid& grid,
   assert(rows <= kMaxRows16);
   if (rows <= kMaxRows8) {
     col.width = 1;
-    col.u8.resize(PaddedU8(column.size()));
+    col.u8.resize(column.size());
     for (size_t i = 0; i < column.size(); ++i) {
       col.u8[i] = static_cast<uint8_t>(grid.IntervalOf(column[i]));
     }
   } else {
     col.width = 2;
-    col.u16.resize(PaddedU16(column.size()));
+    col.u16.resize(column.size());
     for (size_t i = 0; i < column.size(); ++i) {
       col.u16[i] = static_cast<uint16_t>(grid.IntervalOf(column[i]));
     }
@@ -71,13 +60,13 @@ void BinCodeCache::EncodeCategoricalColumn(AttrId a,
   for (int32_t v : column) max_value = std::max(max_value, v);
   if (max_value < kMaxRows8) {
     col.width = 1;
-    col.u8.resize(PaddedU8(column.size()));
+    col.u8.resize(column.size());
     for (size_t i = 0; i < column.size(); ++i) {
       col.u8[i] = static_cast<uint8_t>(column[i]);
     }
   } else {
     col.width = 2;
-    col.u16.resize(PaddedU16(column.size()));
+    col.u16.resize(column.size());
     for (size_t i = 0; i < column.size(); ++i) {
       col.u16[i] = static_cast<uint16_t>(column[i]);
     }

@@ -11,21 +11,10 @@
 
 namespace cmp {
 
-/// Trailing readable bytes every CodeView column must carry past its
-/// last record. The vector kernel tiers load codes 4 bytes at a time
-/// (32-bit gathers at 1- and 2-byte element offsets), so a load at the
-/// final record reaches up to 3 bytes beyond it; without the padding
-/// that read is heap-buffer-overflow UB (caught by ASan with a 511-
-/// record tail batch, tests/test_kernel_dispatch.cc). BinCodeCache
-/// allocates the padding; any other producer of a CodeView must too.
-inline constexpr int kCodeColumnPadding = 4;
-
 /// Read-only view of one attribute's encoded column: exactly one of the
 /// two pointers is non-null, per the column's code width. The histogram
 /// kernels (hist/hist_kernels.h) template their inner loops over this so
-/// the width branch is paid once per batch, not once per record. The
-/// underlying column carries kCodeColumnPadding readable bytes past the
-/// last record (see above).
+/// the width branch is paid once per batch, not once per record.
 struct CodeView {
   const uint8_t* u8 = nullptr;
   const uint16_t* u16 = nullptr;

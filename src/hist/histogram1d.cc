@@ -32,15 +32,6 @@ void Histogram1D::Merge(const Histogram1D& other) {
   for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
 }
 
-void Histogram1D::Subtract(const Histogram1D& other) {
-  assert(num_intervals_ == other.num_intervals_ &&
-         num_classes_ == other.num_classes_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] -= other.counts_[i];
-    assert(counts_[i] >= 0);
-  }
-}
-
 std::vector<int64_t> Histogram1D::PrefixBefore(int i) const {
   std::vector<int64_t> prefix(num_classes_, 0);
   for (int j = 0; j < i; ++j) {

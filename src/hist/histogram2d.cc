@@ -96,12 +96,4 @@ void HistogramMatrix::Merge(const HistogramMatrix& other) {
   for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
 }
 
-void HistogramMatrix::Subtract(const HistogramMatrix& other) {
-  assert(nx_ == other.nx_ && ny_ == other.ny_ && nc_ == other.nc_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] -= other.counts_[i];
-    assert(counts_[i] >= 0);
-  }
-}
-
 }  // namespace cmp

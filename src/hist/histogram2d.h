@@ -72,10 +72,6 @@ class HistogramMatrix {
   /// Adds every cell of `other` (same shape) into this matrix.
   void Merge(const HistogramMatrix& other);
 
-  /// Subtracts every cell of `other` (same shape, cell-wise lower bound)
-  /// from this matrix; see Histogram1D::Subtract.
-  void Subtract(const HistogramMatrix& other);
-
   /// Mutable row-major cell array for the attribute-major batch kernels
   /// in hist/hist_kernels.h.
   int64_t* data() { return counts_.data(); }

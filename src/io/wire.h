@@ -42,7 +42,8 @@ namespace wire {
 /// out-of-bounds read or a runaway allocation.
 
 constexpr char kMagic[4] = {'C', 'M', 'P', 'W'};
-constexpr uint32_t kVersion = 1;
+/// Version 2 dropped the per-fresh-entry sibling index from kPassBegin.
+constexpr uint32_t kVersion = 2;
 constexpr uint32_t kEndianProbe = 0x01020304u;
 constexpr size_t kFrameHeaderBytes = 24;
 /// Upper bound on one frame's payload; a length prefix beyond it is

@@ -113,36 +113,51 @@ void ServeDaemon::AcceptLoop() {
       return;
     }
     stats_.AddConnection();
-    TrackConnection(fd);
+    ReapFinishedConnections();
+    // The new thread's exit path takes conn_mu_, so it cannot mark
+    // itself finished before its entry is complete.
     std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    const uint64_t id = next_conn_id_++;
+    Connection& conn = conns_[id];
+    conn.fd = fd;
+    conn.thread = std::thread([this, fd, id] { ServeConnection(fd, id); });
   }
 }
 
-void ServeDaemon::TrackConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.push_back(fd);
-}
-
-void ServeDaemon::UntrackConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (size_t i = 0; i < conn_fds_.size(); ++i) {
-    if (conn_fds_[i] == fd) {
-      conn_fds_.erase(conn_fds_.begin() + static_cast<ptrdiff_t>(i));
-      break;
+void ServeDaemon::ReapFinishedConnections() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (const uint64_t id : finished_conns_) {
+      const auto it = conns_.find(id);
+      done.push_back(std::move(it->second.thread));
+      conns_.erase(it);
     }
+    finished_conns_.clear();
   }
+  for (std::thread& t : done) t.join();
 }
 
-void ServeDaemon::ServeConnection(int fd) {
+void ServeDaemon::ServeConnection(int fd, uint64_t id) {
   LineReader reader(fd);
   std::string line;
   while (!stopping_.load(std::memory_order_acquire) && reader.ReadLine(&line)) {
     if (line.empty()) continue;
     if (!HandleLine(fd, &reader, line)) break;
   }
-  UntrackConnection(fd);
+  if (reader.line_too_long()) {
+    stats_.AddProtocolError();
+    SendLine(fd, "err line too long");
+  }
+  std::lock_guard<std::mutex> lock(conn_mu_);
   ::close(fd);
+  // Shutdown takes the whole table before joining; then there is no
+  // entry left to mark.
+  const auto it = conns_.find(id);
+  if (it != conns_.end()) {
+    it->second.fd = -1;
+    finished_conns_.push_back(id);
+  }
 }
 
 bool ServeDaemon::HandleLine(int fd, LineReader* reader,
@@ -244,8 +259,10 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
   std::string row;
   for (long i = 0; i < n; ++i) {
     if (!reader->ReadLine(&row)) {
-      SendLine(fd, "err short batch: got " + std::to_string(i) + " of " +
-                       std::to_string(n) + " rows");
+      if (!reader->line_too_long()) {
+        SendLine(fd, "err short batch: got " + std::to_string(i) + " of " +
+                         std::to_string(n) + " rows");
+      }
       return false;
     }
     std::vector<double> numeric;
@@ -318,18 +335,16 @@ void ServeDaemon::Shutdown() {
   listen_fd_ = -1;
 
   // Unblock connection threads parked in recv, then join them.
+  std::unordered_map<uint64_t, Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const auto& [id, conn] : conns_) {
+      if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
+    }
+    conns.swap(conns_);
+    finished_conns_.clear();
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, conn] : conns) conn.thread.join();
 
   batcher_->Stop();
   if (bound_unix_) ::unlink(opts_.unix_path.c_str());

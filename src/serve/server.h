@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/net.h"
@@ -50,8 +52,12 @@ struct ServeOptions {
 /// in schema attribute order; categorical attributes take their integer
 /// code.
 ///
-/// Threading: one OS thread per connection (blocking reads), scoring on
-/// the shared ThreadPool via the MicroBatcher, so concurrent clients'
+/// A request line longer than kMaxLineBytes (common/net.h) is answered
+/// "err line too long" and the connection is closed.
+///
+/// Threading: one OS thread per connection (blocking reads), joined by
+/// the accept loop once its connection ends; scoring on the shared
+/// ThreadPool via the MicroBatcher, so concurrent clients'
 /// single-row requests coalesce into shared batches. `swap` is safe at
 /// any time — see ModelRegistry for the RCU argument.
 class ServeDaemon {
@@ -94,15 +100,22 @@ class ServeDaemon {
 
  private:
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(int fd, uint64_t id);
+  /// Joins the threads of connections that have ended.
+  void ReapFinishedConnections();
   /// Handles one request line; false means close the connection.
   /// `reader` is the connection's framing buffer — verbs that consume
   /// further lines (batch) must read through it, not the raw fd.
   bool HandleLine(int fd, LineReader* reader, const std::string& line);
   bool HandlePredict(int fd, const std::string& rest, bool want_probs);
   bool HandleBatch(int fd, LineReader* reader, const std::string& rest);
-  void TrackConnection(int fd);
-  void UntrackConnection(int fd);
+
+  /// One accepted connection. `fd` turns -1 once the handler closed it,
+  /// which happens under conn_mu_ so Shutdown never touches a reused fd.
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+  };
 
   ServeOptions opts_;
   ServeStats stats_;
@@ -116,8 +129,9 @@ class ServeDaemon {
   std::thread accept_thread_;
 
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::vector<uint64_t> finished_conns_;  // ended, not yet joined
+  uint64_t next_conn_id_ = 0;
+  std::unordered_map<uint64_t, Connection> conns_;  // by connection id
 
   std::atomic<bool> stopping_{false};
   std::mutex shutdown_mu_;

@@ -34,7 +34,7 @@ int Usage() {
       << "usage: cmpserve --model NAME=PATH.cmpb [--model NAME2=PATH2 ...]\n"
          "                [--port P] [--unix PATH] [--threads N]\n"
          "                [--batch-rows R] [--batch-delay-us D]\n"
-         "                [--port-file FILE] [--kernel auto|scalar|sse2|avx2]\n"
+         "                [--port-file FILE] [--kernel auto|scalar|avx2]\n"
          "\n"
          "Serves predictions for compiled .cmpb models over a local TCP\n"
          "(default, port 0 = ephemeral) or UNIX socket. Line protocol:\n"

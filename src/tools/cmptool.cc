@@ -90,12 +90,12 @@ int Usage() {
       "                 cmp-forest file, or a .cmpb blob when --out ends\n"
       "                 in .cmpb)\n"
       "                [--stream [--block B] [--no-prefetch] [--no-codes]\n"
-      "                 [--no-subtract] [--scan-shards S]] --out FILE\n"
+      "                 [--scan-shards S]] --out FILE\n"
       "                (--stream trains out-of-core from a .cmpt table in\n"
       "                 blocks of B records; cmp/cmp-b/cmp-s only.\n"
-      "                 --no-codes / --no-subtract fall back to the\n"
-      "                 record-major scan; --scan-shards overrides the\n"
-      "                 auto shard count. Same tree either way.)\n"
+      "                 --no-codes falls back to the record-major\n"
+      "                 scan; --scan-shards overrides the auto shard\n"
+      "                 count. Same tree either way.)\n"
       "                [--workers K] trains with K forked worker\n"
       "                processes, each scanning one slice of a .cmpt\n"
       "                table (cmp/cmp-b/cmp-s only; combine with\n"
@@ -129,10 +129,10 @@ int Usage() {
       "  cmptool explain --data FILE --tree FILE --record N\n"
       "  cmptool info  --data FILE\n"
       "  cmptool importance --tree FILE\n"
-      "every command also accepts --kernel auto|scalar|sse2|avx2 to pin\n"
-      "the kernel ISA tier: histogram/gini kernels when training, batch\n"
-      "traversal kernels when predicting (default auto; tree bytes and\n"
-      "predictions are identical for every tier)\n";
+      "every command also accepts --kernel auto|scalar|avx2 to pin the\n"
+      "ISA tier of the batch traversal kernels used when predicting\n"
+      "(default auto; predictions are identical for every tier).\n"
+      "Training kernels are not dispatched at run time.\n";
   return kExitBadArgs;
 }
 
@@ -320,7 +320,6 @@ int CmdTrainDist(int argc, char** argv) {
   o.base.num_threads = d.num_threads;
   o.intervals = std::atoi(GetFlag(argc, argv, "--intervals", "100").c_str());
   o.bin_code_cache = !HasFlag(argc, argv, "--no-codes");
-  o.sibling_subtraction = !HasFlag(argc, argv, "--no-subtract");
   o.scan_shards =
       std::atoi(GetFlag(argc, argv, "--scan-shards", "0").c_str());
   const std::string stats_path = GetFlag(argc, argv, "--stats-json");
@@ -379,7 +378,6 @@ int CmdTrainStreamed(int argc, char** argv) {
       std::atoi(GetFlag(argc, argv, "--threads", "1").c_str());
   o.intervals = std::atoi(GetFlag(argc, argv, "--intervals", "100").c_str());
   o.bin_code_cache = !HasFlag(argc, argv, "--no-codes");
-  o.sibling_subtraction = !HasFlag(argc, argv, "--no-subtract");
   o.scan_shards =
       std::atoi(GetFlag(argc, argv, "--scan-shards", "0").c_str());
   const std::string stats_path = GetFlag(argc, argv, "--stats-json");

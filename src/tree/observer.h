@@ -44,8 +44,10 @@ struct PassObservation {
   double kernel_seconds = 0.0;
   /// Resident bytes of the bin-code cache (0 when disabled).
   int64_t code_cache_bytes = 0;
-  /// Fresh bundles this pass derived by sibling subtraction
-  /// (parent minus scanned sibling) instead of being accumulated.
+  /// Always 0: sibling subtraction (deriving a child's bundle as parent
+  /// minus its scanned sibling) was removed because it did not win a
+  /// measurement. Kept so `--stats-json` keys and bench readers stay
+  /// stable.
   int64_t sibling_subtractions = 0;
   /// Distributed training only (0 otherwise): worker processes that
   /// scanned this pass, protocol bytes exchanged with them (frames in
@@ -96,7 +98,7 @@ class TrainStatsCollector : public TrainObserver {
 
   const std::vector<PassObservation>& passes() const { return passes_; }
   const BuildStats& final_stats() const { return final_stats_; }
-  /// Kernel ISA ("scalar" | "sse2" | "avx2") active when the observed
+  /// Kernel ISA ("scalar" | "avx2") active when the observed
   /// build started, captured in OnBuildStart.
   const std::string& kernel_isa() const { return kernel_isa_; }
 

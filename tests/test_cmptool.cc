@@ -597,6 +597,13 @@ TEST_F(CmptoolTest, KernelFlagSelectsTierAndRejectsUnknown) {
             kBadArgs);
   EXPECT_NE(out.find("unknown kernel tier 'bogus'"), std::string::npos)
       << out;
+  // So is the removed SSE2 tier.
+  EXPECT_EQ(RunTool("train --data " + data_ +
+                " --algo cmp-b --kernel sse2 --out " + tree_,
+                &out),
+            kBadArgs);
+  EXPECT_NE(out.find("unknown kernel tier 'sse2'"), std::string::npos)
+      << out;
 }
 
 }  // namespace

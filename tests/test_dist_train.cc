@@ -85,22 +85,18 @@ TEST_F(DistTrainTest, AllVariantsMatchSingleProcess) {
   }
 }
 
-TEST_F(DistTrainTest, DisabledCodesAndSubtractionStillMatch) {
-  // The workers honor the scan-variant flags; every combination must
-  // land on the same bytes (the flags trade speed, never results).
+TEST_F(DistTrainTest, DisabledCodesStillMatch) {
+  // The workers honor the scan-variant flag; both settings must land on
+  // the same bytes (the flag trades speed, never results).
   CmpOptions options = CmpFullOptions();
   const std::string reference =
       SerializeTree(CmpBuilder(options).Build(ds_).tree);
   for (const bool codes : {false, true}) {
-    for (const bool subtract : {false, true}) {
-      options.bin_code_cache = codes;
-      options.sibling_subtraction = subtract;
-      dist::DistOptions d;
-      d.num_workers = 2;
-      const BuildResult result = dist::DistTrain(path_, options, d);
-      EXPECT_EQ(SerializeTree(result.tree), reference)
-          << "codes=" << codes << " subtract=" << subtract;
-    }
+    options.bin_code_cache = codes;
+    dist::DistOptions d;
+    d.num_workers = 2;
+    const BuildResult result = dist::DistTrain(path_, options, d);
+    EXPECT_EQ(SerializeTree(result.tree), reference) << "codes=" << codes;
   }
 }
 

@@ -90,20 +90,20 @@ TEST(BoundaryGini, LoanExampleFromPaper) {
 // ScanBoundaryGinis: the vectorized boundary scan must be BIT-identical
 // to calling BoundaryGini per row — same doubles, not merely close —
 // because the split argmin (and through it the golden trees) rides on
-// exact comparisons of these values. Each compiled tier is driven
-// directly, so the suite exercises sse2/avx2 even when the dispatcher
-// would pick a higher tier.
+// exact comparisons of these values. Both scans this binary carries are
+// driven directly, and the public entry point is checked separately (it
+// is one of them, picked at compile time).
 
-// All tiers this binary carries, name + function. The public dispatcher
-// is checked separately (it routes to one of these).
-std::vector<std::pair<std::string, BoundaryGiniScanFn>> ScanTiers() {
-  std::vector<std::pair<std::string, BoundaryGiniScanFn>> tiers;
-  if (BoundaryGiniScanFn fn = Sse2BoundaryGiniScanOrNull()) {
-    tiers.emplace_back("sse2", fn);
-  }
-  if (BoundaryGiniScanFn fn = Avx2BoundaryGiniScanOrNull()) {
-    tiers.emplace_back("avx2", fn);
-  }
+using ScanFn = void (*)(const int64_t* prefix, int num_boundaries, int nc,
+                        const int64_t* totals, double* out);
+
+// Every scan this binary carries, name + function.
+std::vector<std::pair<std::string, ScanFn>> ScanTiers() {
+  std::vector<std::pair<std::string, ScanFn>> tiers;
+  tiers.emplace_back("scalar", ScanBoundaryGinisScalar);
+#if defined(__SSE2__)
+  tiers.emplace_back("sse2", ScanBoundaryGinisSse2);
+#endif
   return tiers;
 }
 
@@ -160,7 +160,7 @@ TEST(ScanBoundaryGinis, MatchesNaiveOnRandomPrefixes) {
       const std::vector<double> want = NaiveScan(prefix, nb, nc, totals);
       std::vector<double> got(nb);
       ScanBoundaryGinis(prefix.data(), nb, nc, totals.data(), got.data());
-      ExpectBitEqual(got, want, "dispatched");
+      ExpectBitEqual(got, want, "public");
       for (const auto& [name, fn] : ScanTiers()) {
         std::vector<double> tier_got(nb, -1.0);
         fn(prefix.data(), nb, nc, totals.data(), tier_got.data());
@@ -186,7 +186,7 @@ TEST(ScanBoundaryGinis, AllOneClassNodeIsZeroEverywhere) {
   for (int b = 0; b < nb; ++b) {
     EXPECT_EQ(got[b], 0.0) << "boundary " << b;
   }
-  ExpectBitEqual(got, want, "dispatched");
+  ExpectBitEqual(got, want, "public");
   for (const auto& [name, fn] : ScanTiers()) {
     std::vector<double> tier_got(nb, -1.0);
     fn(prefix.data(), nb, nc, totals.data(), tier_got.data());
@@ -213,7 +213,7 @@ TEST(ScanBoundaryGinis, EmptyIntervalsRepeatPrefixRows) {
   const std::vector<double> want = NaiveScan(prefix, nb, nc, totals);
   std::vector<double> got(nb, -1.0);
   ScanBoundaryGinis(prefix.data(), nb, nc, totals.data(), got.data());
-  ExpectBitEqual(got, want, "dispatched");
+  ExpectBitEqual(got, want, "public");
   for (int b = 0; b < nb; ++b) {
     EXPECT_FALSE(std::isnan(got[b])) << "boundary " << b;
   }
@@ -235,7 +235,7 @@ TEST(ScanBoundaryGinis, EmptyNodeAndNoBoundaries) {
   const std::vector<double> want = NaiveScan(prefix, nb, 2, totals_zero);
   std::vector<double> got(nb, -1.0);
   ScanBoundaryGinis(prefix.data(), nb, 2, totals_zero.data(), got.data());
-  ExpectBitEqual(got, want, "dispatched");
+  ExpectBitEqual(got, want, "public");
   for (int b = 0; b < nb; ++b) {
     EXPECT_EQ(got[b], 0.0) << "boundary " << b;
   }
@@ -262,7 +262,7 @@ TEST(ScanBoundaryGinis, LargeCountsStayExact) {
   const std::vector<double> want = NaiveScan(prefix, nb, 2, totals);
   std::vector<double> got(nb);
   ScanBoundaryGinis(prefix.data(), nb, 2, totals.data(), got.data());
-  ExpectBitEqual(got, want, "dispatched");
+  ExpectBitEqual(got, want, "public");
   for (const auto& [name, fn] : ScanTiers()) {
     std::vector<double> tier_got(nb);
     fn(prefix.data(), nb, 2, totals.data(), tier_got.data());

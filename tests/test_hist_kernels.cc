@@ -2,13 +2,20 @@
 // counts EXACTLY — same integer cells, any batch split — because the
 // scan path swaps them in under the bit-identical-trees contract. Tested
 // bottom-up: raw kernels vs direct counting (both code widths), then
-// HistBundle::AccumulateBatch vs Add, then whole builds across the
-// {codes, subtraction} toggles.
+// HistBundle::AccumulateBatch vs Add, then whole builds with and without
+// the code cache.
+//
+// The tail cases double as the over-read regression test: code columns
+// are allocated to exactly one code per record, so a batch ending at the
+// last record of a column makes any read past it a heap-buffer-overflow
+// that the ASan build (CMP_SANITIZE=address) reports as a hard failure.
 #include "hist/hist_kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cmp/bundle.h"
@@ -188,26 +195,202 @@ TEST_F(HistKernelsTest, BatchMatchesRecordMajorBivariateSubRange) {
   ExpectSameCells(batched, serial);
 }
 
-TEST_F(HistKernelsTest, SubtractSameShapeEqualsDirectScanOfOtherChild) {
-  // The sibling-subtraction identity: parent minus left child == right
-  // child, as exact integer counts.
-  const AttrId split_attr = ds_.schema().FindAttr("salary");
-  const double cut = 65000.0;
-  HistBundle parent = HistBundle::MakeUnivariate(ds_.schema(), grids_);
-  HistBundle left = HistBundle::MakeUnivariate(ds_.schema(), grids_);
-  HistBundle right = HistBundle::MakeUnivariate(ds_.schema(), grids_);
-  for (RecordId r = 0; r < ds_.num_records(); ++r) {
-    parent.Add(ds_, grids_, r);
-    (ds_.numeric(split_attr, r) <= cut ? left : right).Add(ds_, grids_, r);
+// ---------------------------------------------------------------------
+// Random exact-size columns: every kernel vs naive counting, on the
+// batch shapes the scan produces plus a batch that ends at the column's
+// last record.
+
+std::vector<std::string> ClassNames(int num_classes) {
+  std::vector<std::string> names;
+  for (int c = 0; c < num_classes; ++c) {
+    std::string name = "c";
+    name += std::to_string(c);
+    names.push_back(std::move(name));
   }
-  ASSERT_TRUE(parent.SameShapeAs(left));
-  parent.SubtractSameShape(left);
-  ExpectSameCells(parent, right);
+  return names;
+}
+
+struct RandomColumn {
+  IntervalGrid grid;
+  BinCodeCache codes;
+  std::vector<ClassId> labels;
+};
+
+// Values drawn from a SMALL discrete pool so the equal-depth grid sees
+// heavy duplicate cut points, plus out-of-range strays that land in the
+// clamp intervals. 1-byte codes.
+RandomColumn MakeNarrowColumn(int64_t n, int num_intervals, int num_classes,
+                              uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> column(n);
+  RandomColumn out;
+  out.labels.resize(n);
+  for (int64_t i = 0; i < n; ++i) {
+    column[i] = static_cast<double>(rng.UniformInt(0, 11)) * 3.5;
+    if (rng.UniformDouble() < 0.05) column[i] = rng.Uniform(-100.0, 500.0);
+    out.labels[i] = static_cast<ClassId>(rng.UniformInt(0, num_classes - 1));
+  }
+  std::vector<double> sorted = column;
+  std::sort(sorted.begin(), sorted.end());
+  out.grid = IntervalGrid::EqualDepthFromSorted(sorted, num_intervals);
+  Schema schema({{"x", AttrKind::kNumeric, 0}}, ClassNames(num_classes));
+  out.codes = BinCodeCache(schema, n, std::max(num_intervals, 4));
+  EXPECT_TRUE(out.codes.enabled());
+  out.codes.EncodeNumericColumn(0, out.grid, column);
+  out.codes.SetLabels(out.labels);
+  return out;
+}
+
+// >255 intervals force 2-byte codes.
+RandomColumn MakeWideColumn(int64_t n, int num_classes, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> cuts;
+  for (int i = 0; i < 300; ++i) cuts.push_back(static_cast<double>(i));
+  RandomColumn out;
+  out.grid = IntervalGrid::FromBoundaries(std::move(cuts), 0.0, 300.0);
+  std::vector<double> column(n);
+  out.labels.resize(n);
+  for (int64_t i = 0; i < n; ++i) {
+    column[i] = rng.Uniform(-5.0, 305.0);
+    out.labels[i] = static_cast<ClassId>(rng.UniformInt(0, num_classes - 1));
+  }
+  Schema schema({{"x", AttrKind::kNumeric, 0}}, ClassNames(num_classes));
+  out.codes = BinCodeCache(schema, n, /*max_intervals=*/1024);
+  EXPECT_TRUE(out.codes.enabled());
+  out.codes.EncodeNumericColumn(0, out.grid, column);
+  out.codes.SetLabels(out.labels);
+  return out;
+}
+
+// A contiguous block, an ascending subset with gaps, the same subset
+// shuffled (the kernels do not require ascending order), and the full
+// range ending at the LAST record.
+std::vector<std::vector<RecordId>> BatchShapes(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<RecordId>> batches;
+  std::vector<RecordId> contiguous;
+  for (RecordId r = n / 4; r < n - n / 4; ++r) contiguous.push_back(r);
+  batches.push_back(std::move(contiguous));
+  std::vector<RecordId> gaps;
+  for (RecordId r = 0; r < n; ++r) {
+    if (rng.UniformDouble() < 0.55) gaps.push_back(r);
+  }
+  batches.push_back(gaps);
+  std::vector<RecordId> shuffled = batches.back();
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1],
+              shuffled[static_cast<size_t>(rng.UniformInt(0, i - 1))]);
+  }
+  batches.push_back(std::move(shuffled));
+  std::vector<RecordId> all(n);
+  for (RecordId r = 0; r < n; ++r) all[r] = r;
+  batches.push_back(std::move(all));
+  return batches;
+}
+
+std::vector<int64_t> KernelCounts1D(const RandomColumn& t,
+                                    const std::vector<RecordId>& rids,
+                                    int nc) {
+  KernelScratch scratch;
+  GatherLabels(t.codes.labels(), rids.data(), rids.size(), &scratch.labels);
+  std::vector<int64_t> cells(
+      static_cast<size_t>(t.grid.num_intervals()) * nc, 0);
+  AccumulateHist1D(t.codes.view(0), scratch.labels.data(), rids.data(),
+                   rids.size(), nc, cells.data());
+  return cells;
+}
+
+std::vector<int64_t> DirectCounts1D(const RandomColumn& t,
+                                    const std::vector<RecordId>& rids,
+                                    int nc) {
+  std::vector<int64_t> cells(
+      static_cast<size_t>(t.grid.num_intervals()) * nc, 0);
+  for (const RecordId r : rids) {
+    cells[static_cast<size_t>(t.codes.code(0, r)) * nc + t.labels[r]]++;
+  }
+  return cells;
+}
+
+// The column serves as both the X and the Y axis of a bivariate cell
+// grid whose X range starts at x_lo, like a child bundle covering a
+// sub-range.
+std::vector<int64_t> KernelCounts2D(const RandomColumn& t,
+                                    const std::vector<RecordId>& rids,
+                                    int x_lo, int nc) {
+  const int q = t.grid.num_intervals();
+  std::vector<RecordId> inside;
+  for (const RecordId r : rids) {
+    if (t.codes.code(0, r) >= x_lo) inside.push_back(r);
+  }
+  KernelScratch scratch;
+  GatherLabels(t.codes.labels(), inside.data(), inside.size(),
+               &scratch.labels);
+  GatherXRows(t.codes.view(0), x_lo, inside.data(), inside.size(),
+              &scratch.xrows);
+  std::vector<int64_t> cells(static_cast<size_t>(q - x_lo) * q * nc, 0);
+  AccumulateHist2D(scratch.xrows.data(), t.codes.view(0),
+                   scratch.labels.data(), inside.data(), inside.size(), q,
+                   nc, cells.data());
+  return cells;
+}
+
+std::vector<int64_t> DirectCounts2D(const RandomColumn& t,
+                                    const std::vector<RecordId>& rids,
+                                    int x_lo, int nc) {
+  const int q = t.grid.num_intervals();
+  std::vector<int64_t> cells(static_cast<size_t>(q - x_lo) * q * nc, 0);
+  for (const RecordId r : rids) {
+    const int code = t.codes.code(0, r);
+    if (code < x_lo) continue;
+    const size_t cell = static_cast<size_t>(code - x_lo) * q + code;
+    cells[cell * nc + t.labels[r]]++;
+  }
+  return cells;
+}
+
+TEST(HistKernelsTail, EightBitColumnsMatchDirectCounts) {
+  for (const uint64_t seed : {11u, 12u, 13u, 14u}) {
+    // 511 records ends one short of a round chunk; 37 is shorter than
+    // any batch the scan flushes.
+    for (const int64_t n : {int64_t{511}, int64_t{2048}, int64_t{37}}) {
+      for (const int nc : {2, 5}) {
+        const RandomColumn t = MakeNarrowColumn(n, 40, nc, seed);
+        ASSERT_EQ(t.codes.width(0), 1);
+        const int x_lo = t.grid.num_intervals() / 4;
+        for (const auto& rids : BatchShapes(n, seed * 3 + nc)) {
+          ASSERT_EQ(KernelCounts1D(t, rids, nc), DirectCounts1D(t, rids, nc))
+              << "seed=" << seed << " n=" << n << " nc=" << nc
+              << " batch=" << rids.size();
+          ASSERT_EQ(KernelCounts2D(t, rids, x_lo, nc),
+                    DirectCounts2D(t, rids, x_lo, nc))
+              << "2d seed=" << seed << " n=" << n << " nc=" << nc
+              << " batch=" << rids.size();
+        }
+      }
+    }
+  }
+}
+
+TEST(HistKernelsTail, SixteenBitColumnsMatchDirectCounts) {
+  for (const uint64_t seed : {21u, 22u}) {
+    for (const int64_t n : {int64_t{511}, int64_t{1500}}) {
+      const RandomColumn t = MakeWideColumn(n, 2, seed);
+      ASSERT_EQ(t.codes.width(0), 2) << ">255 intervals must code as u16";
+      const int x_lo = t.grid.num_intervals() / 4;
+      for (const auto& rids : BatchShapes(n, seed)) {
+        ASSERT_EQ(KernelCounts1D(t, rids, 2), DirectCounts1D(t, rids, 2))
+            << "seed=" << seed << " n=" << n << " batch=" << rids.size();
+        ASSERT_EQ(KernelCounts2D(t, rids, x_lo, 2),
+                  DirectCounts2D(t, rids, x_lo, 2))
+            << "2d seed=" << seed << " n=" << n << " batch=" << rids.size();
+      }
+    }
+  }
 }
 
 // Build-level identity: the tree bytes must not depend on which scan
-// path ran. Every combination of {code cache, sibling subtraction} and
-// thread count must reproduce the plain record-major single-thread tree,
+// path ran. Every combination of code cache and thread count must
+// reproduce the plain record-major single-thread tree,
 // for every CMP variant.
 TEST(HistKernelsBuild, TreeBytesInvariantAcrossScanPaths) {
   AgrawalOptions gen;
@@ -221,23 +404,17 @@ TEST(HistKernelsBuild, TreeBytesInvariantAcrossScanPaths) {
     base.base.in_memory_threshold = 256;  // keep the collect path in play
     CmpOptions plain = base;
     plain.bin_code_cache = false;
-    plain.sibling_subtraction = false;
     const std::string reference =
         SerializeTree(CmpBuilder(plain).Build(train).tree);
     ASSERT_FALSE(reference.empty());
     for (const bool codes : {false, true}) {
-      for (const bool subtract : {false, true}) {
-        for (const int threads : {1, 4}) {
-          CmpOptions o = base;
-          o.bin_code_cache = codes;
-          o.sibling_subtraction = subtract;
-          o.base.num_threads = threads;
-          o.scan_shards = threads;
-          EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree),
-                    reference)
-              << "codes=" << codes << " subtract=" << subtract
-              << " threads=" << threads;
-        }
+      for (const int threads : {1, 4}) {
+        CmpOptions o = base;
+        o.bin_code_cache = codes;
+        o.base.num_threads = threads;
+        o.scan_shards = threads;
+        EXPECT_EQ(SerializeTree(CmpBuilder(o).Build(train).tree), reference)
+            << "codes=" << codes << " threads=" << threads;
       }
     }
   }

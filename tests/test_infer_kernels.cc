@@ -196,11 +196,6 @@ struct DatasetColumns {
 std::vector<std::pair<std::string, const InferKernelOps*>> RunnableTiers() {
   std::vector<std::pair<std::string, const InferKernelOps*>> tiers;
   tiers.emplace_back("scalar", &InferKernelOpsFor(KernelIsa::kScalar));
-  if (KernelIsaSupported(KernelIsa::kSse2)) {
-    if (const InferKernelOps* ops = Sse2InferKernelOpsOrNull()) {
-      tiers.emplace_back("sse2", ops);
-    }
-  }
   if (KernelIsaSupported(KernelIsa::kAvx2)) {
     if (const InferKernelOps* ops = Avx2InferKernelOpsOrNull()) {
       tiers.emplace_back("avx2", ops);
@@ -322,8 +317,7 @@ TEST(InferKernels, BatchPredictorEntryPointsAgreeAcrossActiveTiers) {
   }
 
   const KernelIsa before = ActiveKernelIsa();
-  for (const KernelIsa isa :
-       {KernelIsa::kScalar, KernelIsa::kSse2, KernelIsa::kAvx2}) {
+  for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
     if (!SetKernelIsa(isa)) continue;
     PredictOptions opts;
     opts.want_probs = true;
@@ -394,8 +388,7 @@ TEST(InferKernels, EnsembleInterleavingMatchesPerRowReference) {
       }
     }
 
-    for (const KernelIsa isa :
-         {KernelIsa::kScalar, KernelIsa::kSse2, KernelIsa::kAvx2}) {
+    for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
       if (!SetKernelIsa(isa)) continue;
       const EnsemblePredictor ensemble(compiled, vote);
       PredictOptions opts;
@@ -444,8 +437,7 @@ TEST(InferKernels, BoostForestIdenticalAcrossTiersAndLayouts) {
     const CompiledModel model = CompileModel(ptrs, pack, &error);
     ASSERT_FALSE(model.empty()) << error;
     ASSERT_EQ(model.layout, layout);
-    for (const KernelIsa isa :
-         {KernelIsa::kScalar, KernelIsa::kSse2, KernelIsa::kAvx2}) {
+    for (const KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
       if (!SetKernelIsa(isa)) continue;
       const EnsemblePredictor ensemble(model.trees, VoteKind::kAverageProb);
       const BatchResult got = ensemble.Predict(train);

@@ -2,16 +2,29 @@
 // histogram, ModelRegistry's RCU swap semantics (hammered from many
 // threads — this is a TSan target), MicroBatcher flush triggers and
 // correctness, and a real ServeDaemon on an ephemeral port driven
-// through ServeClient, including a hot swap under concurrent traffic.
+// through ServeClient, including a hot swap under concurrent traffic and
+// the per-client resource bounds (line length, connection threads).
+
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/net.h"
 #include "common/schema.h"
 #include "common/thread_pool.h"
 #include "infer/model_io.h"
@@ -188,6 +201,14 @@ TEST(ModelRegistry, SwapUnderConcurrentScoring) {
     });
   }
 
+  // Swap only once the scorers are running, so the swaps overlap the
+  // scoring even when the scheduler starts the threads late.
+  const auto start_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scored.load() == 0 &&
+         std::chrono::steady_clock::now() < start_deadline) {
+    std::this_thread::yield();
+  }
   for (int swap = 0; swap < 50; ++swap) {
     // Versions start at 2 here; flip on even versions keeps the
     // scorers' invariant in lockstep with the publish counter.
@@ -452,6 +473,141 @@ TEST_F(ServeDaemonTest, HotSwapUnderConcurrentTraffic) {
   EXPECT_GT(flipped_seen.load(), 0);  // at least one reply from model B
   ASSERT_TRUE(admin.Rpc("stats", &reply));
   EXPECT_NE(reply.find("\"swaps\":10"), std::string::npos) << reply;
+  daemon.Shutdown();
+}
+
+// A plain blocking TCP connection to the daemon, for clients that
+// misbehave in ways ServeClient cannot.
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Reads one '\n'-terminated line from `fd`, giving up at `deadline`.
+// False on timeout; on EOF or a reset returns whatever arrived first.
+bool ReadLineBefore(int fd, std::chrono::steady_clock::time_point deadline,
+                    std::string* line) {
+  line->clear();
+  while (true) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, static_cast<int>(left.count())) <= 0) continue;
+    char c;
+    const ssize_t n = ::recv(fd, &c, 1, 0);
+    if (n <= 0 || c == '\n') return true;
+    line->push_back(c);
+  }
+}
+
+// A client that streams one newline-free line of over 64 MiB must be cut
+// off at the fixed line cap: "err line too long" and a closed connection
+// within seconds, not a reader buffering (and rescanning) the whole line.
+TEST_F(ServeDaemonTest, OverlongLineIsRejectedQuickly) {
+  ServeOptions opts;
+  opts.num_threads = 1;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  const int fd = ConnectRaw(daemon.port());
+  ASSERT_GE(fd, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::thread sender([fd] {
+    const std::string chunk(64 * 1024, '7');
+    for (size_t sent = 0; sent <= (size_t{64} << 20); sent += chunk.size()) {
+      if (!SendAll(fd, chunk)) return;  // the daemon hung up
+    }
+  });
+  std::string reply;
+  const bool answered = ReadLineBefore(fd, deadline, &reply);
+  ::shutdown(fd, SHUT_RDWR);  // unblocks the sender either way
+  sender.join();
+  ::close(fd);
+  EXPECT_TRUE(answered) << "no reply within 5 s";
+  EXPECT_EQ(reply, "err line too long");
+
+  // The daemon keeps serving other clients.
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  ASSERT_TRUE(client.Rpc("predict m -1,0", &reply));
+  EXPECT_EQ(reply, "ok neg");
+  daemon.Shutdown();
+}
+
+// Live threads of this process.
+int CountThreads() {
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return -1;
+  int n = 0;
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(dir);
+  return n;
+}
+
+// Virtual size of this process in KiB (VmSize in /proc/self/status).
+long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::atol(line.c_str() + 7);
+  }
+  return -1;
+}
+
+// A handler thread that is never joined keeps its stack mapped until
+// Shutdown. After many short connections the daemon must hold only the
+// threads (and stacks) of connections that are still open.
+TEST_F(ServeDaemonTest, ShortConnectionsDoNotAccumulateThreads) {
+  ServeOptions opts;
+  opts.num_threads = 1;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+  // One connection first, so lazily created state is in the baseline.
+  {
+    ServeClient client;
+    ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error));
+    std::string reply;
+    ASSERT_TRUE(client.Rpc("stats", &reply));
+  }
+  const int threads_before = CountThreads();
+  const long vm_before_kb = VmSizeKb();
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(vm_before_kb, 0);
+
+  int max_threads = threads_before;
+  for (int i = 0; i < 2000; ++i) {
+    ServeClient client;
+    ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error))
+        << error;
+    std::string reply;
+    ASSERT_TRUE(client.Rpc("stats", &reply));
+    ASSERT_EQ(reply.rfind("ok {", 0), 0u) << reply;
+    client.Close();
+    if (i % 100 == 0) max_threads = std::max(max_threads, CountThreads());
+  }
+  max_threads = std::max(max_threads, CountThreads());
+  // A handful of handlers may still be draining their EOF; 2,000 leaked
+  // 8 MiB stacks would add ~16 GiB of address space.
+  EXPECT_LE(max_threads, threads_before + 32);
+  EXPECT_LE(VmSizeKb() - vm_before_kb, 512L * 1024)
+      << "address space grew by " << (VmSizeKb() - vm_before_kb) << " KiB";
   daemon.Shutdown();
 }
 
