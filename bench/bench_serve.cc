@@ -255,6 +255,7 @@ int main(int argc, char** argv) {
        << "  \"distinct_rows\": " << rows.size() << ",\n"
        << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
        << ",\n"
+       << "  \"commit\": \"" << cmp::bench::GitCommit() << "\",\n"
        << "  \"duration_s\": " << wall << ",\n"
        << "  \"rows_served\": " << total_rows.load() << ",\n"
        << "  \"rows_per_sec\": " << rows_per_sec << ",\n"

@@ -13,6 +13,7 @@
 // disk-bound, so the figures' shapes live in this column); `wall(s)` is
 // the measured in-memory construction time on this host.
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -40,6 +41,24 @@ inline std::vector<int64_t> RecordSeries() {
 }
 
 inline DiskModel Disk() { return DiskModel{}; }
+
+/// The checked-out commit, suffixed "-dirty" when the working tree has
+/// uncommitted changes (`git describe --always --dirty` in the working
+/// directory), or "unknown" outside a git checkout: part of the host
+/// stamp a BENCH_*.json carries.
+inline std::string GitCommit() {
+  std::string commit;
+  std::FILE* git = ::popen("git describe --always --dirty 2>/dev/null", "r");
+  if (git != nullptr) {
+    char buf[64];
+    if (std::fgets(buf, sizeof(buf), git) != nullptr) commit = buf;
+    ::pclose(git);
+  }
+  while (!commit.empty() && (commit.back() == '\n' || commit.back() == ' ')) {
+    commit.pop_back();
+  }
+  return commit.empty() ? "unknown" : commit;
+}
 
 }  // namespace cmp::bench
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -46,29 +47,41 @@ bool RecvAll(int fd, void* data, size_t size) {
   return true;
 }
 
+bool LineReader::TakeBuffered(std::string* out) {
+  if (line_too_long_) return false;
+  // Resume the search where the last one stopped: rescanning the whole
+  // buffer per recv would make a long line quadratic.
+  const size_t nl = buf_.find('\n', scanned_);
+  if (nl != std::string::npos && nl <= kMaxLineBytes) {
+    out->assign(buf_, 0, nl);
+    if (!out->empty() && out->back() == '\r') out->pop_back();
+    buf_.erase(0, nl + 1);
+    scanned_ = 0;
+    return true;
+  }
+  if (nl != std::string::npos || buf_.size() > kMaxLineBytes) {
+    line_too_long_ = true;
+    return false;
+  }
+  scanned_ = buf_.size();
+  return false;
+}
+
 bool LineReader::ReadLine(std::string* out) {
   while (true) {
-    // Resume the search where the last one stopped: rescanning the
-    // whole buffer per recv would make a long line quadratic.
-    const size_t nl = buf_.find('\n', scanned_);
-    if (nl != std::string::npos && nl <= kMaxLineBytes) {
-      out->assign(buf_, 0, nl);
-      if (!out->empty() && out->back() == '\r') out->pop_back();
-      buf_.erase(0, nl + 1);
-      scanned_ = 0;
-      return true;
-    }
-    if (nl != std::string::npos || buf_.size() > kMaxLineBytes) {
-      line_too_long_ = true;
-      return false;
-    }
-    scanned_ = buf_.size();
+    if (TakeBuffered(out)) return true;
+    if (line_too_long_) return false;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     buf_.append(chunk, static_cast<size_t>(n));
   }
+}
+
+void SetTcpNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 namespace {

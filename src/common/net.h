@@ -41,6 +41,12 @@ class LineReader {
   /// '\r' so CRLF clients work.
   bool ReadLine(std::string* out);
 
+  /// ReadLine without blocking: takes the next complete line already
+  /// buffered, and returns false when there is none (or when it is too
+  /// long, as ReadLine) without touching the socket. Lets a handler
+  /// gather requests a client pipelined into one write.
+  bool TakeBuffered(std::string* out);
+
   bool line_too_long() const { return line_too_long_; }
 
  private:
@@ -49,6 +55,10 @@ class LineReader {
   size_t scanned_ = 0;  // bytes of buf_ already known to hold no '\n'
   bool line_too_long_ = false;
 };
+
+/// Sets TCP_NODELAY, so a reply written in one send leaves at once
+/// instead of waiting out Nagle behind the peer's delayed ACK.
+void SetTcpNoDelay(int fd);
 
 /// Binds and listens on host:port (SO_REUSEADDR; port 0 binds an
 /// ephemeral port). On success returns the fd and stores the resolved

@@ -1,6 +1,7 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -8,81 +9,120 @@ namespace cmp {
 
 MicroBatcher::MicroBatcher(ThreadPool* pool, BatchPolicy policy,
                            ServeStats* stats)
-    : pool_(pool), policy_(policy), stats_(stats) {
-  flusher_ = std::thread([this] { FlusherLoop(); });
-}
+    : pool_(pool),
+      policy_(policy),
+      stats_(stats),
+      slots_(pool->parallelism()),
+      inline_(pool->num_threads() == 0) {}
 
 MicroBatcher::~MicroBatcher() { Stop(); }
 
 std::future<RowReply> MicroBatcher::Submit(
     std::shared_ptr<const ServedModel> model, std::vector<double> numeric,
     std::vector<int32_t> categorical, bool want_probs) {
-  Request req;
-  req.model = std::move(model);
-  req.numeric = std::move(numeric);
-  req.categorical = std::move(categorical);
-  req.want_probs = want_probs;
-  req.enqueued = std::chrono::steady_clock::now();
-  std::future<RowReply> fut = req.promise.get_future();
+  std::vector<ScoreRow> rows;
+  rows.push_back({std::move(model), std::move(numeric), std::move(categorical),
+                  want_probs});
+  return std::move(SubmitAll(std::move(rows)).front());
+}
 
-  std::vector<Request> full;
+std::vector<std::future<RowReply>> MicroBatcher::SubmitAll(
+    std::vector<ScoreRow> rows) {
+  if (rows.empty()) return {};  // an inline caller would score others' rows
+  // Everything a row needs is built before the lock: the critical
+  // section only moves requests into the queue and claims slots.
+  const auto now = std::chrono::steady_clock::now();
+  std::vector<Request> requests(rows.size());
+  std::vector<std::future<RowReply>> futures;
+  futures.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    requests[i].row = std::move(rows[i]);
+    requests[i].enqueued = now;
+    futures.push_back(requests[i].promise.get_future());
+  }
+  std::vector<std::vector<Request>> claimed;  // one batch per slot claimed
+  uint64_t last = 0;                          // queue position of our last row
+  bool rejected = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
+    rejected = stopping_;
+    if (!rejected) {
+      pending_.insert(pending_.end(),
+                      std::make_move_iterator(requests.begin()),
+                      std::make_move_iterator(requests.end()));
+      queued_ += requests.size();
+      last = queued_;
+      while (!inline_ && in_flight_ < slots_ && !pending_.empty()) {
+        claimed.push_back(TakeBatchLocked());
+        ++in_flight_;
+      }
+    }
+  }
+  if (rejected) {
+    for (Request& req : requests) {
       RowReply reply;
       reply.error = "server shutting down";
       req.promise.set_value(std::move(reply));
-      return fut;
     }
-    pending_.push_back(std::move(req));
-    if (static_cast<int>(pending_.size()) >= policy_.max_rows) {
-      full.swap(pending_);
-    } else if (pending_.size() == 1) {
-      // First row of a fresh batch: arm the flusher's deadline.
-      cv_.notify_one();
-    }
+  } else if (inline_) {
+    ScoreUntilTaken(last);
   }
-  if (!full.empty()) Dispatch(std::move(full), /*inline_run=*/false);
-  return fut;
+  for (std::vector<Request>& batch : claimed) Dispatch(std::move(batch));
+  return futures;
 }
 
-void MicroBatcher::FlusherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-    if (stopping_) return;
-    const auto deadline =
-        pending_.front().enqueued + std::chrono::microseconds(policy_.max_delay_us);
-    // Sleep until the oldest row's deadline; Submit may flush a full
-    // batch out from under us in the meantime, which just re-arms us.
-    cv_.wait_until(lock, deadline, [this, deadline] {
-      return stopping_ || pending_.empty() ||
-             pending_.front().enqueued +
-                     std::chrono::microseconds(policy_.max_delay_us) !=
-                 deadline;
-    });
-    if (stopping_) return;
-    if (pending_.empty()) continue;
-    if (std::chrono::steady_clock::now() < deadline &&
-        static_cast<int>(pending_.size()) < policy_.max_rows) {
-      continue;  // woken early (new first row); re-evaluate
-    }
-    std::vector<Request> batch;
-    batch.swap(pending_);
-    lock.unlock();
-    Dispatch(std::move(batch), /*inline_run=*/false);
-    lock.lock();
-  }
+std::vector<MicroBatcher::Request> MicroBatcher::TakeBatchLocked() {
+  const size_t n = std::min(pending_.size(),
+                            static_cast<size_t>(std::max(1, policy_.max_rows)));
+  std::vector<Request> batch(std::make_move_iterator(pending_.begin()),
+                             std::make_move_iterator(pending_.begin() + n));
+  pending_.erase(pending_.begin(), pending_.begin() + n);
+  taken_ += n;
+  return batch;
 }
 
-void MicroBatcher::Dispatch(std::vector<Request> batch, bool inline_run) {
-  if (batch.empty()) return;
-  if (inline_run || pool_ == nullptr || pool_->num_threads() == 0) {
-    RunBatch(&batch);
-    return;
-  }
+void MicroBatcher::Dispatch(std::vector<Request> batch) {
   auto shared = std::make_shared<std::vector<Request>>(std::move(batch));
-  pool_->Submit([this, shared] { RunBatch(shared.get()); });
+  pool_->Submit([this, shared] { RunSlot(std::move(*shared)); });
+}
+
+void MicroBatcher::RunSlot(std::vector<Request> batch) {
+  RunBatch(&batch);
+  batch.clear();  // drop model references outside the lock
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (pending_.empty()) {
+      // Notify under the lock: once Stop() sees the slot free it may
+      // destroy the batcher, so nothing of `this` is touched after.
+      --in_flight_;
+      slot_freed_.notify_all();
+      return;
+    }
+    // The slot stays claimed, but its next batch is a fresh pool task
+    // rather than another turn of this one: a thread that picked this
+    // task up while helping a ParallelFor returns to its own work after
+    // one batch, not after the queue runs dry.
+    batch = TakeBatchLocked();
+  }
+  Dispatch(std::move(batch));
+}
+
+void MicroBatcher::ScoreUntilTaken(uint64_t last) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (taken_ < last) {
+    if (in_flight_ > 0) {
+      slot_freed_.wait(lock);
+      continue;
+    }
+    ++in_flight_;
+    std::vector<Request> batch = TakeBatchLocked();
+    lock.unlock();
+    RunBatch(&batch);
+    batch.clear();
+    lock.lock();
+    --in_flight_;
+    slot_freed_.notify_all();
+  }
 }
 
 void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
@@ -91,7 +131,7 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
   // swap requires).
   std::map<const ServedModel*, std::vector<size_t>> groups;
   for (size_t i = 0; i < batch->size(); ++i) {
-    groups[(*batch)[i].model.get()].push_back(i);
+    groups[(*batch)[i].row.model.get()].push_back(i);
   }
 
   for (auto& [model, rows] : groups) {
@@ -106,17 +146,17 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
     std::vector<int32_t> categorical;
     bool any_cat = false;
     for (int64_t r = 0; r < n && !any_cat; ++r) {
-      any_cat = !(*batch)[rows[r]].categorical.empty();
+      any_cat = !(*batch)[rows[r]].row.categorical.empty();
     }
     if (any_cat) categorical.assign(static_cast<size_t>(n) * na, -1);
     for (int64_t r = 0; r < n; ++r) {
-      const Request& req = (*batch)[rows[r]];
+      const ScoreRow& row = (*batch)[rows[r]].row;
       for (int32_t a = 0; a < na; ++a) {
-        numeric[static_cast<size_t>(a) * n + r] = req.numeric[a];
+        numeric[static_cast<size_t>(a) * n + r] = row.numeric[a];
       }
-      if (!req.categorical.empty()) {
+      if (!row.categorical.empty()) {
         for (int32_t a = 0; a < na; ++a) {
-          categorical[static_cast<size_t>(a) * n + r] = req.categorical[a];
+          categorical[static_cast<size_t>(a) * n + r] = row.categorical[a];
         }
       }
     }
@@ -141,7 +181,7 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
       reply.ok = true;
       reply.label = result.labels[r];
       reply.model_version = model->version();
-      if (req.want_probs && !result.probs.empty()) {
+      if (req.row.want_probs && !result.probs.empty()) {
         reply.probs.assign(result.probs.begin() + r * nc,
                            result.probs.begin() + (r + 1) * nc);
       }
@@ -157,17 +197,12 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
 }
 
 void MicroBatcher::Stop() {
-  std::vector<Request> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-    leftovers.swap(pending_);
-  }
-  cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
-  // Score what was already accepted so no submitted future dangles.
-  Dispatch(std::move(leftovers), /*inline_run=*/true);
+  std::unique_lock<std::mutex> lock(mu_);
+  stopping_ = true;
+  // Queued rows belong to a busy slot (which hands the slot on while
+  // any are left) or, on an inline pool, to submitters still scoring.
+  slot_freed_.wait(lock,
+                   [this] { return in_flight_ == 0 && pending_.empty(); });
 }
 
 }  // namespace cmp

@@ -4,11 +4,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -27,28 +27,44 @@ struct RowReply {
   uint64_t model_version = 0;  // version that actually scored the row
 };
 
-/// When the batcher flushes pending rows into a scoring batch.
-struct BatchPolicy {
-  /// Flush as soon as this many rows are pending (dispatched inline
-  /// from the submitting thread — no waiting on the flusher).
-  int max_rows = 256;
-  /// Flush when the oldest pending row has waited this long, so a lone
-  /// request never stalls behind an unfilled batch.
-  int max_delay_us = 1000;
+/// One row to score. `model` is non-null; `numeric` and `categorical`
+/// are dense per-attribute slots sized model->schema().num_attrs()
+/// (categorical may be empty for all-numeric schemas). `want_probs`
+/// asks for the per-class vector in the reply.
+struct ScoreRow {
+  std::shared_ptr<const ServedModel> model;
+  std::vector<double> numeric;
+  std::vector<int32_t> categorical;
+  bool want_probs = false;
 };
 
-/// Coalesces individually-submitted rows into scoring batches.
+/// How the batcher sizes its scoring batches.
+struct BatchPolicy {
+  /// Most rows one scoring batch takes.
+  int max_rows = 256;
+};
+
+/// Coalesces submitted rows into scoring batches, work-conserving.
 ///
-/// Submit() stamps the row with the model version resolved by the
-/// caller and parks it; a batch flushes when it reaches
-/// `policy.max_rows` or when the oldest row has waited
-/// `policy.max_delay_us` (a dedicated flusher thread watches the
-/// deadline). Flushed batches are grouped by model — one PredictRows
-/// call per distinct model — and run as tasks on the shared ThreadPool,
-/// where the predictor's own ParallelFor further splits large groups.
-/// Each row's future is fulfilled with its label/probs and the version
-/// that scored it; per-row queue+score latency is recorded into
-/// `stats` at fulfillment time.
+/// There are pool->parallelism() scoring slots (`pool` is non-null). A
+/// submission that finds a slot free hands its rows to the pool at once
+/// — a lone row never waits for company. Rows that arrive while every
+/// slot is busy queue up, and the slot that finishes next takes them
+/// itself, up to `policy.max_rows` per batch, as a fresh pool task, until
+/// the queue is empty. So batches grow exactly when the scorer is the
+/// bottleneck, and there is no timer and no flusher thread.
+///
+/// An inline pool (no workers) has one slot, held by whichever
+/// submitting thread is scoring. A submitter scores batches from the
+/// head of the queue while the slot is free and returns once its own
+/// rows have been taken, so no caller scores rows queued after its own:
+/// a request waits at most for the rows ahead of it, however steadily
+/// other connections keep submitting.
+///
+/// A batch is grouped by model — one PredictColumns call per distinct
+/// model instance — and each row's future is fulfilled with its
+/// label/probs and the version that scored it; per-row queue+score
+/// latency is recorded into `stats` at fulfillment time.
 ///
 /// Because rows carry their own shared_ptr<const ServedModel>, a hot
 /// swap mid-queue is torn-read-free by construction: rows submitted
@@ -59,49 +75,59 @@ class MicroBatcher {
   MicroBatcher(ThreadPool* pool, BatchPolicy policy, ServeStats* stats);
   ~MicroBatcher();
 
-  /// Enqueues one row against `model` (non-null). `numeric` and
-  /// `categorical` are dense per-attribute slots sized
-  /// model->schema().num_attrs() (categorical may be empty for
-  /// all-numeric schemas). The future resolves once the row's batch has
-  /// been scored. `want_probs` asks for the per-class vector in the
-  /// reply.
+  /// Enqueues every row of one request under a single lock; the i-th
+  /// future resolves once rows[i] has been scored. On an inline pool the
+  /// call scores batches itself until its rows are taken.
+  std::vector<std::future<RowReply>> SubmitAll(std::vector<ScoreRow> rows);
+
+  /// SubmitAll of one row.
   std::future<RowReply> Submit(std::shared_ptr<const ServedModel> model,
                                std::vector<double> numeric,
                                std::vector<int32_t> categorical,
                                bool want_probs);
 
-  /// Flushes anything pending and stops the flusher thread. Submissions
-  /// after Stop() resolve immediately with an error reply. Idempotent;
-  /// called by the destructor.
+  /// Rejects new work, lets what is queued be scored, and returns once
+  /// the queue is empty and no batch is in flight. Submissions after Stop()
+  /// resolve immediately with an error reply. Idempotent; called by the
+  /// destructor.
   void Stop();
 
   const BatchPolicy& policy() const { return policy_; }
 
  private:
   struct Request {
-    std::shared_ptr<const ServedModel> model;
-    std::vector<double> numeric;
-    std::vector<int32_t> categorical;
-    bool want_probs = false;
+    ScoreRow row;
     std::promise<RowReply> promise;
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  void FlusherLoop();
-  /// Hands a flushed batch to the pool (or runs it inline during Stop).
-  void Dispatch(std::vector<Request> batch, bool inline_run);
+  /// Moves up to policy_.max_rows queued rows into a batch. Caller
+  /// holds mu_.
+  std::vector<Request> TakeBatchLocked();
+  /// Hands `batch` to the pool as one task on a claimed slot.
+  void Dispatch(std::vector<Request> batch);
+  /// One turn of a scoring slot: runs `batch`, then dispatches the next
+  /// queued batch on the same slot, or frees the slot if none is queued.
+  void RunSlot(std::vector<Request> batch);
+  /// Inline pool: scores batches from the head of the queue whenever the
+  /// slot is free, until the queue position `last` has been taken.
+  void ScoreUntilTaken(uint64_t last);
   /// Groups by model, scores, fulfills promises, records latency.
   void RunBatch(std::vector<Request>* batch) const;
 
   ThreadPool* pool_;
   const BatchPolicy policy_;
   ServeStats* stats_;
+  const int slots_;
+  const bool inline_;  // pool has no workers: submitters score
 
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Request> pending_;
+  std::condition_variable slot_freed_;  // signaled when in_flight_ drops
+  std::deque<Request> pending_;
+  uint64_t queued_ = 0;  // rows ever queued; a row's queue position
+  uint64_t taken_ = 0;   // rows ever taken from the queue into a batch
+  int in_flight_ = 0;    // slots running a batch
   bool stopping_ = false;
-  std::thread flusher_;
 };
 
 }  // namespace cmp

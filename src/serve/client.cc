@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/net.h"
+
 namespace cmp {
 
 ServeClient::~ServeClient() { Close(); }
@@ -45,6 +47,7 @@ bool ServeClient::ConnectTcp(const std::string& host, int port,
     Close();
     return false;
   }
+  SetTcpNoDelay(fd_);
   return true;
 }
 
@@ -74,19 +77,7 @@ bool ServeClient::ConnectUnix(const std::string& path, std::string* error) {
 }
 
 bool ServeClient::Send(const std::string& line) {
-  if (fd_ < 0) return false;
-  const std::string framed = line + "\n";
-  size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n =
-        ::send(fd_, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
+  return fd_ >= 0 && SendLine(fd_, line);
 }
 
 bool ServeClient::Recv(std::string* line) {

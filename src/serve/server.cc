@@ -16,45 +16,47 @@ namespace cmp {
 namespace {
 
 /// Parses one dense CSV row against `schema` into per-attribute slots.
-bool ParseRow(const Schema& schema, const std::string& text,
+/// Fields are converted in place: strtod/strtol stop at the comma, so no
+/// field is copied unless it is quoted back in an error.
+bool ParseRow(const Schema& schema, const char* text,
               std::vector<double>* numeric, std::vector<int32_t>* categorical,
               std::string* error) {
   const int32_t na = schema.num_attrs();
   numeric->assign(static_cast<size_t>(na), 0.0);
   categorical->assign(static_cast<size_t>(na), -1);
-  size_t pos = 0;
+  const char* field = text;
   for (int32_t a = 0; a < na; ++a) {
-    const size_t comma = text.find(',', pos);
+    const char* comma = std::strchr(field, ',');
+    const char* field_end =
+        comma != nullptr ? comma : field + std::strlen(field);
     const bool last = a == na - 1;
-    if (!last && comma == std::string::npos) {
+    if (!last && comma == nullptr) {
       *error = "expected " + std::to_string(na) + " fields";
       return false;
     }
-    const std::string field = text.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (field.empty()) {
+    if (field_end == field) {
       *error = "empty field " + std::to_string(a);
       return false;
     }
     char* end = nullptr;
     if (schema.is_numeric(a)) {
-      (*numeric)[a] = std::strtod(field.c_str(), &end);
+      (*numeric)[a] = std::strtod(field, &end);
     } else {
-      (*categorical)[a] = static_cast<int32_t>(std::strtol(field.c_str(), &end, 10));
+      (*categorical)[a] = static_cast<int32_t>(std::strtol(field, &end, 10));
     }
-    if (end == field.c_str() || *end != '\0') {
-      *error = "bad value '" + field + "' for attribute " +
-               schema.attr(a).name;
+    if (end == field || end != field_end) {
+      *error = "bad value '" + std::string(field, field_end) +
+               "' for attribute " + schema.attr(a).name;
       return false;
     }
     if (last) {
-      if (comma != std::string::npos) {
+      if (comma != nullptr) {
         *error = "expected " + std::to_string(na) + " fields";
         return false;
       }
       return true;
     }
-    pos = comma + 1;
+    field = field_end + 1;
   }
   return na > 0;  // na == 0 is an unusable schema
 }
@@ -65,15 +67,29 @@ std::string LabelName(const Schema& schema, ClassId c) {
                                   : "class" + std::to_string(c);
 }
 
-std::string ReplyLine(const Schema& schema, const RowReply& reply,
-                      bool want_probs) {
-  if (!reply.ok) return "err " + reply.error;
-  std::ostringstream os;
-  os << "ok " << LabelName(schema, reply.label);
-  if (want_probs) {
-    for (const float p : reply.probs) os << ' ' << p;
+/// Appends the reply line for one scored row.
+void AppendReply(const Schema& schema, const RowReply& reply, bool want_probs,
+                 std::string* out) {
+  if (!reply.ok) {
+    *out += "err " + reply.error + "\n";
+    return;
   }
-  return os.str();
+  *out += "ok ";
+  *out += LabelName(schema, reply.label);
+  if (want_probs) {
+    std::ostringstream os;
+    for (const float p : reply.probs) os << ' ' << p;
+    *out += os.str();
+  }
+  *out += '\n';
+}
+
+/// True when the line's verb (the text before the first space) is
+/// `predict` or `predictp`.
+bool IsPredictLine(const std::string& line) {
+  const size_t verb_len = line.find(' ');  // npos: the whole line
+  return line.compare(0, verb_len, "predict") == 0 ||
+         line.compare(0, verb_len, "predictp") == 0;
 }
 
 }  // namespace
@@ -112,6 +128,7 @@ void ServeDaemon::AcceptLoop() {
       ::close(fd);
       return;
     }
+    if (!bound_unix_) SetTcpNoDelay(fd);
     stats_.AddConnection();
     ReapFinishedConnections();
     // The new thread's exit path takes conn_mu_, so it cannot mark
@@ -141,9 +158,29 @@ void ServeDaemon::ReapFinishedConnections() {
 void ServeDaemon::ServeConnection(int fd, uint64_t id) {
   LineReader reader(fd);
   std::string line;
-  while (!stopping_.load(std::memory_order_acquire) && reader.ReadLine(&line)) {
+  bool carried = false;  // `line` is a request taken while gathering
+  std::vector<std::string> group;
+  while (!stopping_.load(std::memory_order_acquire) &&
+         (carried || reader.ReadLine(&line))) {
+    carried = false;
     if (line.empty()) continue;
-    if (!HandleLine(fd, &reader, line)) break;
+    if (!IsPredictLine(line)) {
+      if (!HandleLine(fd, &reader, line)) break;
+      continue;
+    }
+    // Pipelining: the predicts a client already sent behind this one are
+    // scored as one submission and answered with one write.
+    group.clear();
+    group.push_back(std::move(line));
+    while (reader.TakeBuffered(&line)) {
+      if (line.empty()) continue;
+      if (!IsPredictLine(line)) {
+        carried = true;
+        break;
+      }
+      group.push_back(std::move(line));
+    }
+    if (!HandlePredicts(fd, group)) break;
   }
   if (reader.line_too_long()) {
     stats_.AddProtocolError();
@@ -166,8 +203,6 @@ bool ServeDaemon::HandleLine(int fd, LineReader* reader,
   const std::string verb = line.substr(0, sp);
   const std::string rest = sp == std::string::npos ? "" : line.substr(sp + 1);
 
-  if (verb == "predict") return HandlePredict(fd, rest, /*want_probs=*/false);
-  if (verb == "predictp") return HandlePredict(fd, rest, /*want_probs=*/true);
   if (verb == "batch") return HandleBatch(fd, reader, rest);
   if (verb == "stats") return SendLine(fd, "ok " + stats_.ToJson());
   if (verb == "swap") {
@@ -193,33 +228,68 @@ bool ServeDaemon::HandleLine(int fd, LineReader* reader,
   return SendLine(fd, "err unknown verb '" + verb + "'");
 }
 
-bool ServeDaemon::HandlePredict(int fd, const std::string& rest,
-                                bool want_probs) {
-  const size_t sp = rest.find(' ');
-  if (sp == std::string::npos) {
-    stats_.AddProtocolError();
-    return SendLine(fd, "err usage: predict <model> <csv-row>");
+bool ServeDaemon::ParsePredict(const std::string& line, ScoreRow* row,
+                               std::string* error) const {
+  const size_t sp = line.find(' ');
+  const size_t sp2 =
+      sp == std::string::npos ? std::string::npos : line.find(' ', sp + 1);
+  if (sp2 == std::string::npos) {
+    *error = "usage: predict <model> <csv-row>";
+    return false;
   }
-  const std::string name = rest.substr(0, sp);
-  const std::shared_ptr<const ServedModel> model = registry_.Get(name);
-  if (model == nullptr) {
-    stats_.AddProtocolError();
-    return SendLine(fd, "err unknown model '" + name + "'");
+  row->want_probs = line.compare(0, sp, "predictp") == 0;
+  const std::string name = line.substr(sp + 1, sp2 - sp - 1);
+  row->model = registry_.Get(name);
+  if (row->model == nullptr) {
+    *error = "unknown model '" + name + "'";
+    return false;
   }
-  std::vector<double> numeric;
-  std::vector<int32_t> categorical;
-  std::string error;
-  if (!ParseRow(model->schema(), rest.substr(sp + 1), &numeric, &categorical,
-                &error)) {
-    stats_.AddProtocolError();
-    return SendLine(fd, "err " + error);
+  return ParseRow(row->model->schema(), line.c_str() + sp2 + 1,
+                  &row->numeric, &row->categorical, error);
+}
+
+bool ServeDaemon::HandlePredicts(int fd,
+                                 const std::vector<std::string>& lines) {
+  std::vector<ScoreRow> rows(lines.size());
+  std::vector<std::string> errors(lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (!ParsePredict(lines[i], &rows[i], &errors[i])) {
+      stats_.AddProtocolError();
+    }
   }
-  stats_.AddRequests(1);
-  const Schema& schema = model->schema();
-  std::future<RowReply> fut = batcher_->Submit(
-      std::move(model), std::move(numeric), std::move(categorical),
-      want_probs);
-  return SendLine(fd, ReplyLine(schema, fut.get(), want_probs));
+  std::string out;
+  const size_t scored = ScoreRows(std::move(rows), errors, &out);
+  stats_.AddRequests(scored);
+  return SendAll(fd, out);
+}
+
+size_t ServeDaemon::ScoreRows(std::vector<ScoreRow> rows,
+                              const std::vector<std::string>& errors,
+                              std::string* out) {
+  // What rendering a reply needs, kept before the rows move into the
+  // batcher: the model (for its class names) and the probs flag.
+  std::vector<std::shared_ptr<const ServedModel>> models;
+  std::vector<bool> want_probs;
+  std::vector<ScoreRow> submit;
+  submit.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!errors[i].empty()) continue;
+    models.push_back(rows[i].model);
+    want_probs.push_back(rows[i].want_probs);
+    submit.push_back(std::move(rows[i]));
+  }
+  std::vector<std::future<RowReply>> futures =
+      batcher_->SubmitAll(std::move(submit));
+  size_t k = 0;
+  for (const std::string& error : errors) {
+    if (!error.empty()) {
+      *out += "err " + error + "\n";
+      continue;
+    }
+    AppendReply(models[k]->schema(), futures[k].get(), want_probs[k], out);
+    ++k;
+  }
+  return futures.size();
 }
 
 bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
@@ -234,6 +304,7 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
     return SendLine(fd, "err usage: batch <model> <num-rows>");
   }
   const std::shared_ptr<const ServedModel> model = registry_.Get(name);
+  std::string out;
   if (model == nullptr) {
     // The client has likely pipelined n row lines behind the verb;
     // consume them so they are not misread as requests, and keep the
@@ -242,56 +313,33 @@ bool ServeDaemon::HandleBatch(int fd, LineReader* reader,
     std::string discard;
     for (long i = 0; i < n; ++i) {
       if (!reader->ReadLine(&discard)) return false;
-      if (!SendLine(fd, "err unknown model '" + name + "'")) return false;
+      out += "err unknown model '" + name + "'\n";
     }
-    return SendLine(fd, "done 0");
+    return SendAll(fd, out + "done 0\n");
   }
-  const Schema& schema = model->schema();
 
-  // Read and enqueue rows one by one — the batcher coalesces them (and
-  // anything other connections submit meanwhile) into scoring batches
-  // while we are still parsing later rows. The connection's reader is
-  // shared so rows the client pipelined behind the verb line are not
-  // stranded in its buffer.
-  std::vector<std::future<RowReply>> futures;
-  futures.reserve(static_cast<size_t>(n));
-  std::vector<std::string> parse_errors(static_cast<size_t>(n));
-  std::string row;
+  // The connection's reader is shared so rows the client pipelined
+  // behind the verb line are not stranded in its buffer.
+  std::vector<ScoreRow> rows(static_cast<size_t>(n));
+  std::vector<std::string> errors(static_cast<size_t>(n));
+  std::string text;
   for (long i = 0; i < n; ++i) {
-    if (!reader->ReadLine(&row)) {
+    if (!reader->ReadLine(&text)) {
       if (!reader->line_too_long()) {
         SendLine(fd, "err short batch: got " + std::to_string(i) + " of " +
                          std::to_string(n) + " rows");
       }
       return false;
     }
-    std::vector<double> numeric;
-    std::vector<int32_t> categorical;
-    std::string error;
-    if (!ParseRow(schema, row, &numeric, &categorical, &error)) {
-      parse_errors[static_cast<size_t>(i)] = error;
-      futures.emplace_back();  // placeholder, never waited on
-      continue;
+    ScoreRow& row = rows[static_cast<size_t>(i)];
+    if (ParseRow(model->schema(), text.c_str(), &row.numeric,
+                 &row.categorical, &errors[static_cast<size_t>(i)])) {
+      row.model = model;
     }
-    futures.push_back(batcher_->Submit(model, std::move(numeric),
-                                       std::move(categorical),
-                                       /*want_probs=*/false));
   }
   stats_.AddRequests(static_cast<uint64_t>(n));
-
-  long ok_rows = 0;
-  for (long i = 0; i < n; ++i) {
-    std::string reply;
-    if (!parse_errors[static_cast<size_t>(i)].empty()) {
-      reply = "err " + parse_errors[static_cast<size_t>(i)];
-    } else {
-      reply = ReplyLine(schema, futures[static_cast<size_t>(i)].get(),
-                        /*want_probs=*/false);
-      ++ok_rows;
-    }
-    if (!SendLine(fd, reply)) return false;
-  }
-  return SendLine(fd, "done " + std::to_string(ok_rows));
+  const size_t scored = ScoreRows(std::move(rows), errors, &out);
+  return SendAll(fd, out + "done " + std::to_string(scored) + "\n");
 }
 
 void ServeDaemon::RequestShutdown() {

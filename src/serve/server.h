@@ -55,11 +55,18 @@ struct ServeOptions {
 /// A request line longer than kMaxLineBytes (common/net.h) is answered
 /// "err line too long" and the connection is closed.
 ///
+/// Requests on one connection may be pipelined: the handler takes every
+/// complete predict/predictp line already buffered behind the one it
+/// read, submits them together, and answers
+/// them in request order with one write. Every `batch` reply (n lines
+/// plus "done") is one write too, and TCP sockets run with
+/// TCP_NODELAY, so no reply waits on Nagle.
+///
 /// Threading: one OS thread per connection (blocking reads), joined by
 /// the accept loop once its connection ends; scoring on the shared
-/// ThreadPool via the MicroBatcher, so concurrent clients'
-/// single-row requests coalesce into shared batches. `swap` is safe at
-/// any time — see ModelRegistry for the RCU argument.
+/// ThreadPool via the MicroBatcher, so concurrent clients' requests
+/// coalesce into shared batches whenever the scorer is busy. `swap` is
+/// safe at any time — see ModelRegistry for the RCU argument.
 class ServeDaemon {
  public:
   explicit ServeDaemon(ServeOptions opts);
@@ -93,7 +100,7 @@ class ServeDaemon {
   /// Blocks until RequestShutdown, then tears the daemon down.
   void Wait();
 
-  /// Stops accepting, unblocks and joins every connection, flushes the
+  /// Stops accepting, unblocks and joins every connection, drains the
   /// batcher. Idempotent; must not be called from a connection thread
   /// (it joins them) — connection handlers use RequestShutdown.
   void Shutdown();
@@ -103,12 +110,23 @@ class ServeDaemon {
   void ServeConnection(int fd, uint64_t id);
   /// Joins the threads of connections that have ended.
   void ReapFinishedConnections();
-  /// Handles one request line; false means close the connection.
-  /// `reader` is the connection's framing buffer — verbs that consume
-  /// further lines (batch) must read through it, not the raw fd.
+  /// Handles one non-predict request line; false means close the
+  /// connection. `reader` is the connection's framing buffer — verbs
+  /// that consume further lines (batch) must read through it, not the
+  /// raw fd.
   bool HandleLine(int fd, LineReader* reader, const std::string& line);
-  bool HandlePredict(int fd, const std::string& rest, bool want_probs);
+  /// Answers a group of pipelined predict/predictp lines, in order, with
+  /// one write.
+  bool HandlePredicts(int fd, const std::vector<std::string>& lines);
   bool HandleBatch(int fd, LineReader* reader, const std::string& rest);
+  /// Parses one predict/predictp line into a row against its model.
+  bool ParsePredict(const std::string& line, ScoreRow* row,
+                    std::string* error) const;
+  /// Submits every row whose `errors` entry is empty in one SubmitAll
+  /// and appends one reply line per row to *out, in order ("err <msg>"
+  /// for the others). Returns the number of rows submitted.
+  size_t ScoreRows(std::vector<ScoreRow> rows,
+                   const std::vector<std::string>& errors, std::string* out);
 
   /// One accepted connection. `fd` turns -1 once the handler closed it,
   /// which happens under conn_mu_ so Shutdown never touches a reused fd.

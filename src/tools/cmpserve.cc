@@ -32,14 +32,18 @@ void OnSignal(int sig) { g_signal = sig; }
 int Usage() {
   std::cerr
       << "usage: cmpserve --model NAME=PATH.cmpb [--model NAME2=PATH2 ...]\n"
-         "                [--port P] [--unix PATH] [--threads N]\n"
-         "                [--batch-rows R] [--batch-delay-us D]\n"
+         "                [--port P] [--unix PATH] [--threads N] [--batch-rows R]\n"
          "                [--port-file FILE] [--kernel auto|scalar|avx2]\n"
          "\n"
          "Serves predictions for compiled .cmpb models over a local TCP\n"
          "(default, port 0 = ephemeral) or UNIX socket. Line protocol:\n"
          "  predict <model> <csv-row> | predictp ... | batch <model> <n>\n"
          "  swap <model> <path.cmpb> | stats | quit\n"
+         "Pipelined requests are answered in order.\n"
+         "\n"
+         "--batch-rows caps one scoring batch (default 256). Rows score as\n"
+         "soon as a pool thread is free and only wait while every one is\n"
+         "busy.\n"
          "\n"
          "--kernel pins the ISA tier of the batch traversal kernels\n"
          "(default auto-detects; predictions are identical across tiers).\n"
@@ -84,10 +88,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return Usage();
       opts.batch.max_rows = std::atoi(v);
-    } else if (arg == "--batch-delay-us") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      opts.batch.max_delay_us = std::atoi(v);
     } else if (arg == "--port-file") {
       const char* v = value();
       if (v == nullptr) return Usage();
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     std::cerr << "at least one --model NAME=PATH.cmpb is required\n";
     return Usage();
   }
-  if (opts.batch.max_rows < 1 || opts.batch.max_delay_us < 0 ||
+  if (opts.batch.max_rows < 1 ||
       opts.port < 0 || opts.port > 65535) {
     return Usage();
   }

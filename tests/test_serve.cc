@@ -1,9 +1,10 @@
 // In-process tests of the serving subsystem: the lock-free latency
 // histogram, ModelRegistry's RCU swap semantics (hammered from many
-// threads — this is a TSan target), MicroBatcher flush triggers and
-// correctness, and a real ServeDaemon on an ephemeral port driven
-// through ServeClient, including a hot swap under concurrent traffic and
-// the per-client resource bounds (line length, connection threads).
+// threads — this is a TSan target), MicroBatcher's work-conserving
+// batching and shutdown, and a real ServeDaemon on an ephemeral port
+// driven through ServeClient, including a hot swap under concurrent
+// traffic, pipelined requests, reply latency, and the per-client
+// resource bounds (line length, connection threads).
 
 #include <arpa/inet.h>
 #include <dirent.h>
@@ -14,11 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -222,60 +225,209 @@ TEST(ModelRegistry, SwapUnderConcurrentScoring) {
   EXPECT_GT(scored.load(), 0);
 }
 
-TEST(MicroBatcher, SizeTriggerFlushesImmediately) {
-  ThreadPool pool(1);
-  ServeStats stats;
-  BatchPolicy policy;
-  policy.max_rows = 4;
-  policy.max_delay_us = 10'000'000;  // deadline effectively off
-  MicroBatcher batcher(&pool, policy, &stats);
-  ModelRegistry registry(&pool);
+// A 2-worker pool whose workers are both parked until Release(), so a
+// test decides when scoring starts: the batcher's two slots hand their
+// batches to the pool, where they queue behind the parked tasks, and
+// rows submitted meanwhile wait in the batcher. (ThreadPool(1) has no
+// worker at all; it runs tasks inline on the caller.)
+class ParkedPool {
+ public:
+  ParkedPool() {
+    for (int i = 0; i < pool_.num_threads(); ++i) {
+      pool_.Submit([this] { gate_.wait(); });
+    }
+  }
+  ~ParkedPool() { Release(); }
+  void Release() {
+    if (!released_) open_.set_value();
+    released_ = true;
+  }
+  ThreadPool* pool() { return &pool_; }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+  bool released_ = false;
+  ThreadPool pool_{2};  // declared last: joined before the gate dies
+};
+
+std::shared_ptr<const ServedModel> PublishTestModel(ModelRegistry* registry) {
   std::string error;
-  ASSERT_NE(registry.Publish("m", MakeModel(0.0, false), "", &error), 0u);
-  std::shared_ptr<const ServedModel> model = registry.Get("m");
+  EXPECT_NE(registry->Publish("m", MakeModel(0.0, false), "", &error), 0u)
+      << error;
+  return registry->Get("m");
+}
+
+// Rows that arrive while both slots are busy wait for the first slot to
+// free up, and that slot takes them all as one batch.
+TEST(MicroBatcher, RowsSubmittedDuringAFlushCoalesceIntoOneBatch) {
+  ParkedPool parked;
+  ServeStats stats;
+  MicroBatcher batcher(parked.pool(), BatchPolicy{}, &stats);
+  ModelRegistry registry(parked.pool());
+  const std::shared_ptr<const ServedModel> model = PublishTestModel(&registry);
+  ASSERT_NE(model, nullptr);
 
   std::vector<std::future<RowReply>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(batcher.Submit(
-        model, {i < 2 ? -1.0 : 1.0, 0.0}, {}, /*want_probs=*/true));
+  for (int i = 0; i < 7; ++i) {  // 2 claim the slots, 5 queue
+    futures.push_back(batcher.Submit(model, {i % 2 == 0 ? -1.0 : 1.0, 0.0},
+                                     {}, /*want_probs=*/true));
   }
-  for (int i = 0; i < 4; ++i) {
-    RowReply reply = futures[i].get();
+  parked.Release();
+  for (int i = 0; i < 7; ++i) {
+    const RowReply reply = futures[i].get();
     ASSERT_TRUE(reply.ok) << reply.error;
-    EXPECT_EQ(reply.label, i < 2 ? 0 : 1);
+    EXPECT_EQ(reply.label, i % 2 == 0 ? 0 : 1);
     EXPECT_EQ(reply.model_version, 1u);
     ASSERT_EQ(reply.probs.size(), 2u);
-    EXPECT_FLOAT_EQ(reply.probs[i < 2 ? 0 : 1], 0.9f);
+    EXPECT_FLOAT_EQ(reply.probs[i % 2 == 0 ? 0 : 1], 0.9f);
   }
-  EXPECT_EQ(stats.rows(), 4u);
-  EXPECT_EQ(stats.batches(), 1u);
+  EXPECT_EQ(stats.rows(), 7u);
+  EXPECT_EQ(stats.batches(), 3u);
 }
 
-TEST(MicroBatcher, DeadlineTriggerReleasesALoneRow) {
+// max_rows caps a batch: with both slots holding one row, 4 queued rows
+// score as two batches of 2.
+TEST(MicroBatcher, MaxRowsCapsEachBatch) {
+  ParkedPool parked;
+  ServeStats stats;
+  BatchPolicy policy;
+  policy.max_rows = 2;
+  MicroBatcher batcher(parked.pool(), policy, &stats);
+  ModelRegistry registry(parked.pool());
+  const std::shared_ptr<const ServedModel> model = PublishTestModel(&registry);
+  ASSERT_NE(model, nullptr);
+
+  std::vector<std::future<RowReply>> futures;
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(batcher.Submit(model, {-1.0, 0.0}, {}, false));
+  }
+  parked.Release();
+  for (std::future<RowReply>& f : futures) {
+    const RowReply reply = f.get();
+    EXPECT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.label, 0);
+  }
+  EXPECT_EQ(stats.rows(), 6u);
+  EXPECT_EQ(stats.batches(), 4u);  // 1, 1, 2, 2
+}
+
+// Nothing waits for company: a lone row on an idle pool (threaded or
+// inline) is scored at once, whatever max_rows is.
+TEST(MicroBatcher, LoneRowOnAnIdlePoolResolves) {
+  for (const int threads : {1, 2}) {
+    ThreadPool pool(threads);
+    ServeStats stats;
+    BatchPolicy policy;
+    policy.max_rows = 1'000'000;
+    MicroBatcher batcher(&pool, policy, &stats);
+    ModelRegistry registry(&pool);
+    const std::shared_ptr<const ServedModel> model =
+        PublishTestModel(&registry);
+    ASSERT_NE(model, nullptr);
+
+    const RowReply reply =
+        batcher.Submit(model, {3.0, 0.0}, {}, /*want_probs=*/false).get();
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(reply.label, 1);
+    EXPECT_TRUE(reply.probs.empty());
+    EXPECT_EQ(stats.batches(), 1u) << threads << " threads";
+  }
+}
+
+// Stop() must not return while a batch is in flight (its task still
+// touches the batcher); once it returns, every accepted row is scored.
+TEST(MicroBatcher, StopWaitsForTheBatchInFlight) {
+  ParkedPool parked;
+  ServeStats stats;
+  MicroBatcher batcher(parked.pool(), BatchPolicy{}, &stats);
+  ModelRegistry registry(parked.pool());
+  const std::shared_ptr<const ServedModel> model = PublishTestModel(&registry);
+  ASSERT_NE(model, nullptr);
+
+  std::vector<std::future<RowReply>> accepted;
+  accepted.push_back(batcher.Submit(model, {-1.0, 0.0}, {}, false));
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    batcher.Stop();
+    stopped.store(true);
+  });
+  // Submit until one is rejected: from then on Stop() is underway.
+  while (true) {
+    std::future<RowReply> f = batcher.Submit(model, {1.0, 0.0}, {}, false);
+    if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      const RowReply rejected = f.get();
+      EXPECT_FALSE(rejected.ok);
+      EXPECT_EQ(rejected.error, "server shutting down");
+      break;
+    }
+    accepted.push_back(std::move(f));
+  }
+  EXPECT_FALSE(stopped.load());
+  parked.Release();
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  for (std::future<RowReply>& f : accepted) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_TRUE(f.get().ok);
+  }
+  EXPECT_EQ(stats.rows(), accepted.size());
+}
+
+// On an inline pool each submitting thread scores, one batch at a
+// time. A submitter must return once its own rows are taken rather than
+// keep scoring what other threads queue behind it: under steady load
+// that would hold its reply back indefinitely. Two threads feed 64-row
+// requests without waiting for the replies (one row per batch, so
+// feeding outpaces scoring). A call that kept the slot until the queue
+// ran dry would span nearly all of the other thread's rows; a call that
+// returns once its rows are taken spans about two requests' worth (a
+// quarter of one thread's rows leaves room for a descheduled thread).
+TEST(MicroBatcher, InlineSubmitterReturnsOnceItsRowsAreTaken) {
   ThreadPool pool(1);
   ServeStats stats;
   BatchPolicy policy;
-  policy.max_rows = 1'000'000;  // size trigger effectively off
-  policy.max_delay_us = 500;
+  policy.max_rows = 1;
   MicroBatcher batcher(&pool, policy, &stats);
   ModelRegistry registry(&pool);
-  std::string error;
-  ASSERT_NE(registry.Publish("m", MakeModel(0.0, false), "", &error), 0u);
+  const std::shared_ptr<const ServedModel> model = PublishTestModel(&registry);
+  ASSERT_NE(model, nullptr);
 
-  std::future<RowReply> fut = batcher.Submit(registry.Get("m"), {3.0, 0.0},
-                                             {}, /*want_probs=*/false);
-  const RowReply reply = fut.get();  // must not hang
-  ASSERT_TRUE(reply.ok) << reply.error;
-  EXPECT_EQ(reply.label, 1);
-  EXPECT_TRUE(reply.probs.empty());
+  constexpr int kCalls = 500;
+  constexpr int kRows = 64;
+  std::atomic<uint64_t> longest{0};  // most batches scored during one call
+  auto feed = [&] {
+    for (int c = 0; c < kCalls; ++c) {
+      std::vector<ScoreRow> rows;
+      for (int r = 0; r < kRows; ++r) {
+        rows.push_back({model, {-1.0, 0.0}, {}, false});
+      }
+      const uint64_t before = stats.batches();
+      batcher.SubmitAll(std::move(rows));
+      const uint64_t span = stats.batches() - before;
+      uint64_t seen = longest.load();
+      while (span > seen && !longest.compare_exchange_weak(seen, span)) {
+      }
+    }
+  };
+  std::thread other(feed);
+  feed();
+  other.join();
+  batcher.Stop();
+  EXPECT_EQ(stats.rows(), uint64_t{2} * kCalls * kRows);
+  EXPECT_LE(longest.load(), uint64_t{kCalls} * kRows / 4);
 }
 
+// Two rows against each of two versions, interleaved in one request,
+// score as one batch: the mid-queue swap scenario in miniature. The
+// batch must group rows by model instance, not by name, and score each
+// group with one call (stats counts a scoring call per group: 2 here;
+// rows that never shared a batch would count 4).
 TEST(MicroBatcher, MixedModelsInOneFlushScoreOnTheirOwnVersion) {
   ThreadPool pool(1);
   ServeStats stats;
   BatchPolicy policy;
   policy.max_rows = 4;
-  policy.max_delay_us = 10'000'000;
   MicroBatcher batcher(&pool, policy, &stats);
   ModelRegistry registry(&pool);
   std::string error;
@@ -284,13 +436,13 @@ TEST(MicroBatcher, MixedModelsInOneFlushScoreOnTheirOwnVersion) {
   ASSERT_NE(registry.Publish("m", MakeModel(0.0, true), "", &error), 0u);
   std::shared_ptr<const ServedModel> v2 = registry.Get("m");
 
-  // Two rows against each version, interleaved, in one flush: the
-  // mid-queue swap scenario in miniature.
-  std::vector<std::future<RowReply>> futures;
-  futures.push_back(batcher.Submit(v1, {-1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v2, {-1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v1, {1.0, 0.0}, {}, false));
-  futures.push_back(batcher.Submit(v2, {1.0, 0.0}, {}, false));
+  std::vector<ScoreRow> rows;
+  rows.push_back({v1, {-1.0, 0.0}, {}, false});
+  rows.push_back({v2, {-1.0, 0.0}, {}, false});
+  rows.push_back({v1, {1.0, 0.0}, {}, false});
+  rows.push_back({v2, {1.0, 0.0}, {}, false});
+  std::vector<std::future<RowReply>> futures =
+      batcher.SubmitAll(std::move(rows));
   const ClassId expect[] = {0, 1, 1, 0};
   for (int i = 0; i < 4; ++i) {
     RowReply reply = futures[i].get();
@@ -298,23 +450,35 @@ TEST(MicroBatcher, MixedModelsInOneFlushScoreOnTheirOwnVersion) {
     EXPECT_EQ(reply.label, expect[i]) << i;
     EXPECT_EQ(reply.model_version, i % 2 == 0 ? 1u : 2u);
   }
+  EXPECT_EQ(stats.batches(), 2u);
 }
 
+// A row still queued in the batcher (both slots busy) when Stop() is
+// called is scored before Stop() returns; a submission after that is
+// rejected.
 TEST(MicroBatcher, StopFlushesPendingAndRejectsNewWork) {
-  ThreadPool pool(1);
+  ParkedPool parked;
   ServeStats stats;
-  BatchPolicy policy;
-  policy.max_rows = 1'000'000;
-  policy.max_delay_us = 60'000'000;  // neither trigger can fire
-  MicroBatcher batcher(&pool, policy, &stats);
-  ModelRegistry registry(&pool);
-  std::string error;
-  ASSERT_NE(registry.Publish("m", MakeModel(0.0, false), "", &error), 0u);
-  std::shared_ptr<const ServedModel> model = registry.Get("m");
+  MicroBatcher batcher(parked.pool(), BatchPolicy{}, &stats);
+  ModelRegistry registry(parked.pool());
+  const std::shared_ptr<const ServedModel> model = PublishTestModel(&registry);
+  ASSERT_NE(model, nullptr);
 
+  batcher.Submit(model, {1.0, 0.0}, {}, false);  // claims a slot
+  batcher.Submit(model, {1.0, 0.0}, {}, false);  // claims the other
   std::future<RowReply> pending =
       batcher.Submit(model, {-2.0, 0.0}, {}, false);
-  batcher.Stop();
+  std::thread stopper([&] { batcher.Stop(); });
+  // Probe until one is rejected: from then on Stop() is underway.
+  while (batcher.Submit(model, {1.0, 0.0}, {}, false)
+             .wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+  }
+  EXPECT_EQ(pending.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  parked.Release();
+  stopper.join();
+  ASSERT_EQ(pending.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
   const RowReply flushed = pending.get();
   ASSERT_TRUE(flushed.ok) << flushed.error;
   EXPECT_EQ(flushed.label, 0);
@@ -322,7 +486,7 @@ TEST(MicroBatcher, StopFlushesPendingAndRejectsNewWork) {
   const RowReply rejected =
       batcher.Submit(model, {0.0, 0.0}, {}, false).get();
   EXPECT_FALSE(rejected.ok);
-  EXPECT_FALSE(rejected.error.empty());
+  EXPECT_EQ(rejected.error, "server shutting down");
 }
 
 class ServeDaemonTest : public ::testing::Test {
@@ -346,7 +510,6 @@ class ServeDaemonTest : public ::testing::Test {
 
 TEST_F(ServeDaemonTest, ServesPredictionsOverTcp) {
   ServeOptions opts;
-  opts.batch.max_delay_us = 300;
   ServeDaemon daemon(opts);
   std::string error;
   ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u)
@@ -387,7 +550,6 @@ TEST_F(ServeDaemonTest, ServesPredictionsOverTcp) {
 TEST_F(ServeDaemonTest, ServesOverUnixSocket) {
   ServeOptions opts;
   opts.unix_path = std::string(::testing::TempDir()) + "/cmpserve_test.sock";
-  opts.batch.max_delay_us = 300;
   ServeDaemon daemon(opts);
   std::string error;
   ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
@@ -425,7 +587,6 @@ TEST_F(ServeDaemonTest, QuitShutsTheDaemonDown) {
 TEST_F(ServeDaemonTest, HotSwapUnderConcurrentTraffic) {
   ServeOptions opts;
   opts.batch.max_rows = 8;
-  opts.batch.max_delay_us = 200;
   ServeDaemon daemon(opts);
   std::string error;
   ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
@@ -608,6 +769,130 @@ TEST_F(ServeDaemonTest, ShortConnectionsDoNotAccumulateThreads) {
   EXPECT_LE(max_threads, threads_before + 32);
   EXPECT_LE(VmSizeKb() - vm_before_kb, 512L * 1024)
       << "address space grew by " << (VmSizeKb() - vm_before_kb) << " KiB";
+  daemon.Shutdown();
+}
+
+// Back-to-back `batch` calls on one connection must cost about what
+// scoring them costs. With Nagle on and a reply written line by line,
+// each call waited out the client's delayed ACK (~40 ms).
+TEST_F(ServeDaemonTest, SequentialBatchesDoNotStall) {
+  ServeOptions opts;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  std::vector<std::string> rows;
+  for (int i = 0; i < 64; ++i) rows.push_back(i % 2 == 0 ? "-1,0" : "1,0");
+  std::vector<double> rtt_ms;
+  std::vector<std::string> replies;
+  for (int call = 0; call < 50; ++call) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Batch("m", rows, &replies));
+    rtt_ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    ASSERT_EQ(replies.size(), rows.size());
+    EXPECT_EQ(replies[0], "ok neg");
+    EXPECT_EQ(replies[63], "ok pos");
+  }
+  std::nth_element(rtt_ms.begin(), rtt_ms.begin() + 25, rtt_ms.end());
+  EXPECT_LT(rtt_ms[25], 10.0) << "median batch round trip (ms)";
+  daemon.Shutdown();
+}
+
+// Requests pipelined into one write are answered in request order, one
+// reply (or `batch` reply set) per request, with each `err` in its own
+// slot; `stats` counts every row sent before it; and a run of predicts
+// longer than one 4 KiB read, and than one batch (max_rows), is split
+// without losing order.
+TEST_F(ServeDaemonTest, PipelinedRequestsAnswerInOrder) {
+  ServeOptions opts;
+  opts.batch.max_rows = 64;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  std::string payload =
+      "predict m -1,0\n"
+      "predict m 1,2,3\n"
+      "predictp m 1,0\n"
+      "batch m 3\n-1,0\n1,0\n-2,0\n"
+      "bogus\n"
+      "stats";
+  for (int i = 0; i < 300; ++i) {
+    payload += i % 3 == 0 ? "\npredict m 2," : "\npredict m -2,";
+    payload += std::to_string(i);
+  }
+  ServeClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", daemon.port(), &error)) << error;
+  ASSERT_TRUE(client.Send(payload));  // one send() for the whole script
+
+  std::string reply;
+  ASSERT_TRUE(client.Recv(&reply));
+  EXPECT_EQ(reply, "ok neg");
+  ASSERT_TRUE(client.Recv(&reply));
+  EXPECT_EQ(reply, "err expected 2 fields");
+  ASSERT_TRUE(client.Recv(&reply));
+  EXPECT_EQ(reply.rfind("ok pos ", 0), 0u) << reply;
+  for (const char* want : {"ok neg", "ok pos", "ok neg", "done 3"}) {
+    ASSERT_TRUE(client.Recv(&reply));
+    EXPECT_EQ(reply, want);
+  }
+  ASSERT_TRUE(client.Recv(&reply));
+  EXPECT_EQ(reply, "err unknown verb 'bogus'");
+  ASSERT_TRUE(client.Recv(&reply));
+  EXPECT_EQ(reply.rfind("ok {", 0), 0u) << reply;
+  EXPECT_NE(reply.find("\"rows\":5,"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"requests\":5,"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"protocol_errors\":2,"), std::string::npos) << reply;
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(client.Recv(&reply)) << i;
+    EXPECT_EQ(reply, i % 3 == 0 ? "ok pos" : "ok neg") << i;
+  }
+  EXPECT_EQ(daemon.stats().rows(), 305u);
+  daemon.Shutdown();
+}
+
+// A line over the cap that follows buffered predicts: the predicts are
+// still answered, then "err line too long", then the daemon hangs up.
+TEST_F(ServeDaemonTest, OverlongLineAfterBufferedPredicts) {
+  ServeOptions opts;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_NE(daemon.registry().PublishFromFile("m", blob_a_, &error), 0u);
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  const int fd = ConnectRaw(daemon.port());
+  ASSERT_GE(fd, 0);
+  std::thread sender([fd] {
+    if (!SendAll(fd, "predict m -1,0\npredict m 1,0\npredict m -3,0\n")) {
+      return;
+    }
+    const std::string chunk(64 * 1024, '7');
+    for (size_t sent = 0; sent <= kMaxLineBytes + chunk.size();
+         sent += chunk.size()) {
+      if (!SendAll(fd, chunk)) return;  // the daemon hung up
+    }
+    SendAll(fd, "\n");
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::vector<std::string> replies;
+  std::string line;
+  for (int i = 0; i < 4 && ReadLineBefore(fd, deadline, &line); ++i) {
+    replies.push_back(line);
+  }
+  const bool closed = ReadLineBefore(fd, deadline, &line) && line.empty();
+  ::shutdown(fd, SHUT_RDWR);
+  sender.join();
+  ::close(fd);
+  EXPECT_EQ(replies, (std::vector<std::string>{"ok neg", "ok pos", "ok neg",
+                                               "err line too long"}));
+  EXPECT_TRUE(closed);
   daemon.Shutdown();
 }
 

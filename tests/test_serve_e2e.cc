@@ -189,7 +189,7 @@ class ServeE2eTest : public ::testing::Test {
 
 TEST_F(ServeE2eTest, ServedLabelsMatchCmptoolPredictAcrossHotSwap) {
   int port = 0;
-  FILE* daemon = StartDaemon("--batch-rows 16 --batch-delay-us 300", &port);
+  FILE* daemon = StartDaemon("--batch-rows 16", &port);
   ASSERT_NE(daemon, nullptr);
 
   auto served_labels = [&](ServeClient* client) {
@@ -274,6 +274,10 @@ TEST_F(ServeE2eTest, DaemonRejectsBadFlagsWithUsageExit) {
             2);
   EXPECT_EQ(RunCmd(std::string(CMPSERVE_PATH) + " --model m=" + blob_a_ +
                    " --frobnicate 2>/dev/null"),
+            2);
+  // Batching has no delay knob: rows score as soon as a slot is free.
+  EXPECT_EQ(RunCmd(std::string(CMPSERVE_PATH) + " --model m=" + blob_a_ +
+                   " --batch-delay-us 300 2>/dev/null"),
             2);
 }
 
