@@ -95,6 +95,7 @@ int main(int argc, char** argv) {
        << "  \"bench\": \"train_parallel\",\n"
        << "  \"rows\": " << train_n << ",\n"
        << "  \"hardware_threads\": " << hw << ",\n"
+       << "  \"commit\": \"" << cmp::bench::GitCommit() << "\",\n"
        << "  \"deterministic\": " << (identical ? "true" : "false") << ",\n";
   for (const Row& r : rows) {
     json << "  \"train_mt" << r.threads << "_rows_per_sec\": "

@@ -345,38 +345,33 @@ void CmpBuild<Store>::Run() {
     Timer plan_timer;
 
     // Frontier phase A: every fresh node's analysis is a pure function
-    // of its (now complete) bundle, so the frontier analyzes in
-    // parallel. Phase B below applies the results serially in work-list
-    // order — node creation order, stats, and tie-breaking are exactly
-    // the serial build's.
+    // of its (now complete) bundle, and every pending's exact split a
+    // pure function of its own buffer, segments and node counts, so the
+    // whole frontier is worked out in parallel. Phase B below applies the
+    // results serially in work-list order — node creation order, stats,
+    // and tie-breaking are exactly the serial build's. The tree is
+    // read-only until phase B. Pendings go first: their buffer sorts are
+    // the longest tasks.
+    const size_t num_pending = work_.pending.size();
     std::vector<std::unique_ptr<BundleAnalysis>> pre(work_.fresh.size());
-    if (pool_->parallelism() > 1 && work_.fresh.size() > 1) {
-      pool_->ParallelFor(work_.fresh.size(), 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const std::vector<int64_t> totals =
-              work_.fresh[i].bundle.ClassTotals();
-          if (executor.WouldAnalyze(work_.fresh[i].node, totals)) {
-            pre[i] = std::make_unique<BundleAnalysis>(
-                planner.Analyze(work_.fresh[i].bundle, totals));
+    pool_->ParallelFor(
+        static_cast<int64_t>(num_pending + work_.fresh.size()), 1,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t i = lo; i < hi; ++i) {
+            if (static_cast<size_t>(i) < num_pending) {
+              PendingWork& w = work_.pending[i];
+              executor.PrepareResolve(
+                  w.pending.get(), result_->tree.node(w.node).class_counts);
+              continue;
+            }
+            FreshWork& w = work_.fresh[i - num_pending];
+            const std::vector<int64_t> totals = w.bundle.ClassTotals();
+            if (executor.WouldAnalyze(w.node, totals)) {
+              pre[i - num_pending] = std::make_unique<BundleAnalysis>(
+                  planner.Analyze(w.bundle, totals));
+            }
           }
-        }
-      });
-    }
-    // Pending buffers sort to a unique (value, rid) order, so the sorts
-    // — the bulk of resolution cost — fan out ahead of the serial
-    // resolve walk, which then re-sorts already-sorted buffers for free.
-    if (pool_->parallelism() > 1 && !work_.pending.empty()) {
-      std::vector<Pending*> all_pendings;
-      for (PendingWork& w : work_.pending) {
-        CollectPendings(w.pending.get(), &all_pendings);
-      }
-      pool_->ParallelFor(all_pendings.size(), 1,
-                         [&](int64_t lo, int64_t hi) {
-                           for (int64_t i = lo; i < hi; ++i) {
-                             SortBuffer(&all_pendings[i]->buffer);
-                           }
-                         });
-    }
+        });
 
     for (size_t i = 0; i < work_.fresh.size(); ++i) {
       executor.GrowNode(work_.fresh[i].node, std::move(work_.fresh[i].bundle),

@@ -66,6 +66,24 @@ struct Segment {
   std::vector<int64_t> exact_right_counts;
 };
 
+/// The exact split of a pending, worked out after its scan by
+/// SplitExecutor::PrepareResolve (split_plan.h) and applied to the tree
+/// by SplitExecutor::ResolvePending.
+struct Resolution {
+  // Records the buffer held when resolution began (sort/buffer charges).
+  int64_t buffered = 0;
+  // False when no candidate splits the node (every candidate puts all
+  // records on one side); the node is then collected instead.
+  bool splits = false;
+  double threshold = 0.0;
+  std::vector<int64_t> left_counts;
+  std::vector<int64_t> right_counts;
+  // The merged segments on each side, buffer flushed in; a nested
+  // pending inside either is itself prepared.
+  Segment left;
+  Segment right;
+};
+
 /// A pending (approximate) numeric split awaiting exact resolution at
 /// the next scan.
 struct Pending {
@@ -75,6 +93,7 @@ struct Pending {
   std::vector<int> alive;
   std::vector<Segment> segments;  // alive.size() + 1
   std::vector<BufferedRecord> buffer;
+  Resolution resolution;  // filled after the scan
   int64_t MemoryBytes() const;
 };
 
@@ -97,16 +116,10 @@ std::unique_ptr<Pending> ClonePendingEmpty(const Pending& p, int nc);
 void MergePendingInto(Pending* dst, const Pending& src);
 
 /// Sorts a pending buffer by (value, rid). The record id tiebreak makes
-/// the order a total one — equal-valued records always route to the same
-/// side of the resolved split, so the tree is unchanged, but the sorted
-/// buffer is now a unique permutation: re-sorting an already-sorted
-/// buffer is a no-op, which lets the per-pending sorts run as a parallel
-/// pre-pass without perturbing anything downstream.
+/// the order a total one, so the sorted buffer does not depend on the
+/// order shards appended records in; equal-valued records always route
+/// to the same side of the resolved split.
 void SortBuffer(std::vector<BufferedRecord>* buffer);
-
-/// Flattens a pending tree (the top-level split plus any nested
-/// sub-pendings) into a work list, so every buffer sort can fan out.
-void CollectPendings(Pending* p, std::vector<Pending*>* out);
 
 /// Alive intervals across `p` and its nested sub-pendings (observer
 /// metric).

@@ -34,9 +34,22 @@ struct LinearSplitResult {
 /// `max_grid`: the matrix is first coarsened so that neither axis exceeds
 /// this many intervals (adjacent-interval merging), bounding the cost of
 /// each line evaluation.
+///
+/// Each candidate line is counted in O(cx + cy) corner evaluations plus
+/// O(cx * classes) adds over per-column prefix sums (cx, cy: coarse
+/// cells per axis), not the O(cx * cy * classes) per-cell loop; lines
+/// with a non-finite coefficient fall back to that loop.
 LinearSplitResult FindBestLine(const HistogramMatrix& m,
                                const IntervalGrid& gx, int x_lo,
                                const IntervalGrid& gy, int max_grid);
+
+/// FindBestLine with every candidate line counted by the per-cell loop:
+/// the reference the column walk must match bit for bit (valid, a, b, c
+/// and gini).
+LinearSplitResult FindBestLineReference(const HistogramMatrix& m,
+                                        const IntervalGrid& gx, int x_lo,
+                                        const IntervalGrid& gy,
+                                        int max_grid);
 
 }  // namespace cmp
 

@@ -291,13 +291,27 @@ class ScanPass : public PassScanner {
       }
     }
 
-    for (ScanShard& sh : shards) {
-      for (size_t i = 0; i < work.fresh.size(); ++i) {
-        work.fresh[i].bundle.MergeSameShape(sh.fresh[i]);
-      }
-      for (size_t i = 0; i < work.pending.size(); ++i) {
-        MergePendingInto(work.pending[i].pending.get(), *sh.pending[i]);
-      }
+    // A slot's merge touches only that slot's master and mirrors, so the
+    // merge fans out over fresh + pending slots; within a slot the shards
+    // still merge in shard order.
+    if (!shards.empty()) {
+      const size_t num_fresh = work.fresh.size();
+      pool_->ParallelFor(
+          static_cast<int64_t>(num_fresh + work.pending.size()), 1,
+          [&](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i) {
+              for (const ScanShard& sh : shards) {
+                if (static_cast<size_t>(i) < num_fresh) {
+                  work.fresh[i].bundle.MergeSameShape(sh.fresh[i]);
+                } else {
+                  MergePendingInto(work.pending[i - num_fresh].pending.get(),
+                                   *sh.pending[i - num_fresh]);
+                }
+              }
+            }
+          });
+    }
+    for (const ScanShard& sh : shards) {
       for (size_t i = 0; i < work.collect.size(); ++i) {
         work.collect[i].rids.insert(work.collect[i].rids.end(),
                                     sh.collect[i].begin(),

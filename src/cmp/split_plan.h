@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -286,11 +284,6 @@ class SplitExecutor {
         an.decision != BundleAnalysis::Decision::kNone) {
       result_->stats.predictions_total++;
       if (an.attr == bundle.x_attr()) result_->stats.predictions_correct++;
-      if (std::getenv("CMP_TRACE_PREDICT") != nullptr) {
-        std::fprintf(stderr,
-                     "PREDICT node=%d n=%lld predicted=%d chosen=%d\n", id,
-                     static_cast<long long>(n), bundle.x_attr(), an.attr);
-      }
     }
 
     switch (an.decision) {
@@ -427,18 +420,21 @@ class SplitExecutor {
     }
   }
 
-  /// Resolves a pending split of tree node `id`, creating children (and
-  /// grandchildren for nested pendings) and growing the frontier.
-  void ResolvePending(NodeId id, Pending* p, int depth) {
+  /// Works out the exact split of a pending whose node holds `totals`
+  /// (per-class counts) from its buffer: sorts it, walks the candidate
+  /// cuts, merges the segments into the two sides and flushes the buffer
+  /// into them; then prepares any nested pending on either side with
+  /// that side's counts. Reads the record store, writes only `p` and
+  /// the pendings nested in it, so the build's top-level pendings
+  /// prepare in parallel. ResolvePending applies the result.
+  void PrepareResolve(Pending* p, const std::vector<int64_t>& totals) const {
     const Schema& schema = planner_.schema();
     const std::vector<IntervalGrid>& grids = planner_.grids();
-    const std::vector<int64_t> totals = result_->tree.node(id).class_counts;
     const int nc = schema.num_classes();
     const int64_t n = CountSum(totals);
     const int num_alive = static_cast<int>(p->alive.size());
-
-    tracker_->ChargeBuffered(static_cast<int64_t>(p->buffer.size()));
-    tracker_->ChargeSort(static_cast<int64_t>(p->buffer.size()));
+    Resolution& res = p->resolution;
+    res.buffered = static_cast<int64_t>(p->buffer.size());
     SortBuffer(&p->buffer);
 
     // Group buffered records by alive interval (sorted by value => groups
@@ -506,28 +502,20 @@ class SplitExecutor {
       }
     }
 
-    if (best_s_left < 0) {
-      // Degenerate: every candidate puts all records on one side (e.g.
-      // the node's records share a single value inside the alive
-      // interval). The committed attribute cannot split this node; fall
-      // back to collecting the node's records next scan and finishing it
-      // with the exact in-memory builder.
-      next_->collect.push_back({id, {}});
-      return;
-    }
+    // Degenerate: every candidate puts all records on one side (e.g. the
+    // node's records share a single value inside the alive interval).
+    // The committed attribute cannot split this node; ResolvePending
+    // collects its records next scan for the exact in-memory builder.
+    res.splits = best_s_left >= 0;
+    if (!res.splits) return;
 
     // ---- Merge segments into the two children and flush the buffer.
-    std::vector<int64_t> right_counts(nc);
+    res.threshold = best_threshold;
+    res.left_counts = best_left_counts;
+    res.right_counts.resize(nc);
     for (ClassId c = 0; c < nc; ++c) {
-      right_counts[c] = totals[c] - best_left_counts[c];
+      res.right_counts[c] = totals[c] - best_left_counts[c];
     }
-    const NodeId left_id = AddChild(best_left_counts, depth + 1);
-    const NodeId right_id = AddChild(right_counts, depth + 1);
-    TreeNode& parent = result_->tree.mutable_node(id);
-    parent.is_leaf = false;
-    parent.split = Split::Numeric(p->attr, best_threshold);
-    parent.left = left_id;
-    parent.right = right_id;
 
     auto merge_side = [&](int seg_begin, int seg_end) -> Segment {
       // Move the first segment out and merge the others into it.
@@ -546,14 +534,45 @@ class SplitExecutor {
       return merged;
     };
 
-    Segment left_seg = merge_side(0, best_s_left);
-    Segment right_seg = merge_side(best_s_left, num_alive + 1);
+    res.left = merge_side(0, best_s_left);
+    res.right = merge_side(best_s_left, num_alive + 1);
 
     for (size_t i = 0; i < p->buffer.size(); ++i) {
-      FlushIntoSegment(i < best_buf_left ? &left_seg : &right_seg, store_,
+      FlushIntoSegment(i < best_buf_left ? &res.left : &res.right, store_,
                        grids, codes_, p->buffer[i].rid);
     }
     p->buffer.clear();
+
+    if (res.left.plan == PlanKind::kPending) {
+      PrepareResolve(res.left.sub.get(), res.left_counts);
+    }
+    if (res.right.plan == PlanKind::kPending) {
+      PrepareResolve(res.right.sub.get(), res.right_counts);
+    }
+  }
+
+  /// Applies a pending split of tree node `id` that PrepareResolve has
+  /// worked out: creates the children (and grandchildren for nested
+  /// pendings) and grows the frontier.
+  void ResolvePending(NodeId id, Pending* p, int depth) {
+    Resolution& res = p->resolution;
+    // The sides' bundles are freed when this call returns, one pending
+    // at a time, not with the whole work list.
+    Segment left = std::move(res.left);
+    Segment right = std::move(res.right);
+    tracker_->ChargeBuffered(res.buffered);
+    tracker_->ChargeSort(res.buffered);
+    if (!res.splits) {
+      next_->collect.push_back({id, {}});
+      return;
+    }
+    const NodeId left_id = AddChild(res.left_counts, depth + 1);
+    const NodeId right_id = AddChild(res.right_counts, depth + 1);
+    TreeNode& parent = result_->tree.mutable_node(id);
+    parent.is_leaf = false;
+    parent.split = Split::Numeric(p->attr, res.threshold);
+    parent.left = left_id;
+    parent.right = right_id;
 
     // ---- Materialize each side.
     auto finish_side = [&](NodeId child_id, Segment& seg) {
@@ -588,8 +607,8 @@ class SplitExecutor {
         }
       }
     };
-    finish_side(left_id, left_seg);
-    finish_side(right_id, right_seg);
+    finish_side(left_id, left);
+    finish_side(right_id, right);
   }
 
   /// Finishes every collected partition in memory. With several

@@ -7,6 +7,14 @@
 
 namespace cmp {
 
+namespace {
+thread_local uint64_t batches_scored_here = 0;
+}  // namespace
+
+uint64_t MicroBatcher::BatchesScoredOnThisThread() {
+  return batches_scored_here;
+}
+
 MicroBatcher::MicroBatcher(ThreadPool* pool, BatchPolicy policy,
                            ServeStats* stats)
     : pool_(pool),
@@ -171,6 +179,7 @@ void MicroBatcher::RunBatch(std::vector<Request>* batch) const {
     const auto done = std::chrono::steady_clock::now();
     // Account before fulfilling: a client that pipelines `stats` behind
     // its own reply must see counters that already include its rows.
+    ++batches_scored_here;
     if (stats_ != nullptr) {
       stats_->AddRows(static_cast<uint64_t>(n));
       stats_->AddBatch();

@@ -94,6 +94,11 @@ class MicroBatcher {
 
   const BatchPolicy& policy() const { return policy_; }
 
+  /// Batches (one per model group, as ServeStats counts them) that any
+  /// MicroBatcher has scored on the calling thread. On an inline pool
+  /// this tells a submitter's own scoring apart from other submitters'.
+  static uint64_t BatchesScoredOnThisThread();
+
  private:
   struct Request {
     ScoreRow row;

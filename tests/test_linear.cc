@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.h"
 #include "gini/gini.h"
 
@@ -152,6 +155,73 @@ TEST(LinearSplit, GiniConsistentWithManualCellPartition) {
   if (line.b > 0) {
     EXPECT_NEAR(SplitGini3(under, above, on), line.gini, 1e-9);
   }
+}
+
+// A random grid of `q` intervals over [lo, lo + span]. With
+// `min_is_first_cut` the first interval has zero width (the minimum
+// equals the first cut, as with a spike of equal values at the
+// minimum), which makes the walk's first line coefficient 1/0.
+IntervalGrid RandomGrid(Rng& rng, int q, bool min_is_first_cut) {
+  const double lo = rng.Uniform(-100.0, 100.0);
+  const double span = rng.Uniform(1.0, 1000.0);
+  std::vector<double> cuts;
+  double v = lo;
+  for (int i = 1; i < q; ++i) {
+    if (!(min_is_first_cut && i == 1)) v += rng.Uniform(0.01, 1.0) * span / q;
+    cuts.push_back(v);
+  }
+  return IntervalGrid::FromBoundaries(std::move(cuts), lo,
+                                      v + rng.Uniform(0.01, 1.0) * span / q);
+}
+
+// The O(cx + cy) column walk must reproduce the per-cell reference
+// exactly: same line, same coefficients, same gini, bit for bit.
+TEST(LinearSplit, ColumnWalkMatchesPerCellReference) {
+  Rng rng(20001);
+  const int kMaxGrids[] = {8, 32, 0};  // 0: no coarsening
+  int valid_lines = 0;
+  int zero_width_grids = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int nc = 2 + trial % 2;
+    const int nx = static_cast<int>(rng.UniformInt(2, 40));
+    const int ny = static_cast<int>(rng.UniformInt(2, 40));
+    // Matrix columns cover global X intervals [x_lo, x_lo + nx).
+    const int x_lo =
+        trial % 4 == 0 ? 0 : static_cast<int>(rng.UniformInt(1, 10));
+    const bool x_spike = x_lo == 0 && rng.Bernoulli(0.5);
+    const bool y_spike = rng.Bernoulli(0.3);
+    zero_width_grids += (x_spike || y_spike) ? 1 : 0;
+    const IntervalGrid gx = RandomGrid(rng, x_lo + nx + (trial % 3), x_spike);
+    const IntervalGrid gy = RandomGrid(rng, ny, y_spike);
+    HistogramMatrix m(nx, ny, nc);
+    const double fill = rng.Uniform(0.2, 1.0);
+    for (int x = 0; x < nx; ++x) {
+      if (rng.Bernoulli(0.15)) continue;  // an empty column
+      for (int y = 0; y < ny; ++y) {
+        if (!rng.Bernoulli(fill)) continue;
+        for (ClassId c = 0; c < nc; ++c) {
+          m.Add(x, y, c, rng.UniformInt(0, 20));
+        }
+      }
+    }
+    const int coarse = kMaxGrids[(trial / 2) % 3];
+    const int max_grid = coarse > 0 ? coarse : std::max(nx, ny);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " nc " << nc
+                                    << " " << nx << "x" << ny << " x_lo "
+                                    << x_lo << " max_grid " << max_grid);
+    const LinearSplitResult ref =
+        FindBestLineReference(m, gx, x_lo, gy, max_grid);
+    const LinearSplitResult walk = FindBestLine(m, gx, x_lo, gy, max_grid);
+    EXPECT_EQ(walk.valid, ref.valid);
+    EXPECT_EQ(walk.a, ref.a);
+    EXPECT_EQ(walk.b, ref.b);
+    EXPECT_EQ(walk.c, ref.c);
+    EXPECT_EQ(walk.gini, ref.gini);
+    valid_lines += ref.valid ? 1 : 0;
+  }
+  // The draw must exercise both real lines and the zero-width fallback.
+  EXPECT_GT(valid_lines, 200);
+  EXPECT_GT(zero_width_grids, 50);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ Dataset MakeData(AgrawalFunction f, int64_t n, uint64_t seed) {
   return GenerateAgrawal(gen);
 }
 
-const int kThreadCounts[] = {1, 2, 4, 8};
+const int kThreadCounts[] = {1, 2, 3, 4, 8};
 
 // Serializes the tree built with the given thread count. The shard
 // count is pinned to the thread count: the auto setting caps shards at

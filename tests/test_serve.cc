@@ -380,9 +380,12 @@ TEST(MicroBatcher, StopWaitsForTheBatchInFlight) {
 // that would hold its reply back indefinitely. Two threads feed 64-row
 // requests without waiting for the replies (one row per batch, so
 // feeding outpaces scoring). A call that kept the slot until the queue
-// ran dry would span nearly all of the other thread's rows; a call that
-// returns once its rows are taken spans about two requests' worth (a
-// quarter of one thread's rows leaves room for a descheduled thread).
+// ran dry would score nearly all of the other thread's rows; a call that
+// returns once its rows are taken scores about two requests' worth (a
+// quarter of one thread's rows is the bound). Only batches scored on the
+// calling thread count: the global ServeStats count across a call also
+// takes in every batch the other thread scores while the caller is
+// descheduled.
 TEST(MicroBatcher, InlineSubmitterReturnsOnceItsRowsAreTaken) {
   ThreadPool pool(1);
   ServeStats stats;
@@ -395,16 +398,17 @@ TEST(MicroBatcher, InlineSubmitterReturnsOnceItsRowsAreTaken) {
 
   constexpr int kCalls = 500;
   constexpr int kRows = 64;
-  std::atomic<uint64_t> longest{0};  // most batches scored during one call
+  std::atomic<uint64_t> longest{0};  // most batches one call scored itself
   auto feed = [&] {
     for (int c = 0; c < kCalls; ++c) {
       std::vector<ScoreRow> rows;
       for (int r = 0; r < kRows; ++r) {
         rows.push_back({model, {-1.0, 0.0}, {}, false});
       }
-      const uint64_t before = stats.batches();
+      const uint64_t before = MicroBatcher::BatchesScoredOnThisThread();
       batcher.SubmitAll(std::move(rows));
-      const uint64_t span = stats.batches() - before;
+      const uint64_t span =
+          MicroBatcher::BatchesScoredOnThisThread() - before;
       uint64_t seen = longest.load();
       while (span > seen && !longest.compare_exchange_weak(seen, span)) {
       }
